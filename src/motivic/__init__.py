@@ -32,7 +32,6 @@ from .ratfield import (
     canonical_str,
     in_lambda_circ,
     pi_eval,
-    rf_arith,
     specialize,
 )
 from .subgroups import (
@@ -87,7 +86,6 @@ from .stackcalc import (
     p_lattice,
     pi_mu_lbar,
     pi_re_n,
-    pi_vi_n,
     upsilon_pi_mu,
     weight_mul,
 )

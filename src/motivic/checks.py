@@ -20,7 +20,13 @@ from .coefficients import (
     m_big_coeff,
 )
 from .errors import GuardError
-from .groups import GeneralLinear, enumerate_partitions, partition_to_subgroup, upsilon_group
+from .groups import (
+    GeneralLinear,
+    SetPartition,
+    enumerate_partitions,
+    partition_to_subgroup,
+    upsilon_group,
+)
 from .models import (
     gl2_flag_model,
     gl3_flag_model,
@@ -35,7 +41,6 @@ from .stackcalc import (
     lbar_mul,
     model_total_upsilon,
     pi_mu_lbar,
-    pi_vi_n,
     upsilon_pi_mu,
     weight_mul,
 )
@@ -68,9 +73,8 @@ class CheckReport:
 def check_eff_recursion(max_m=6):
     """Both recursion residuals vanish for every level up to max_m."""
     report = CheckReport("eff-recursion")
-    table = ECoeffTable.build(min(max_m + 1, 7))
-    top = min(max_m, table.max_m - 1)
-    for m in range(1, top + 1):
+    table = ECoeffTable.build(max_m + 1)
+    for m in range(1, max_m + 1):
         report.count()
         if e_recursion_residual(m, table) != ZERO:
             report.fail("E recursion residual nonzero at m = %d" % m)
@@ -83,7 +87,7 @@ def check_eff_recursion(max_m=6):
 def check_consistency(max_m=5):
     """The group class inverse expands over block tori with E weights."""
     report = CheckReport("consistency")
-    for m in range(1, min(max_m, 6) + 1):
+    for m in range(1, max_m + 1):
         report.count()
         if consistency_residual(m) != ZERO:
             report.fail("consistency residual nonzero at m = %d" % m)
@@ -97,18 +101,6 @@ def _random_subgroup(rng, m):
     return TorusSubgroup(m, rows)
 
 
-def _block_torus(m, blocks):
-    rows = []
-    for b in blocks:
-        b = sorted(b)
-        for i in b[1:]:
-            row = [0] * m
-            row[b[0] - 1] = 1
-            row[i - 1] = -1
-            rows.append(tuple(row))
-    return TorusSubgroup(m, tuple(rows))
-
-
 def _partition_lattice_poset(m):
     subs = [partition_to_subgroup(p) for p in enumerate_partitions(m)]
     return poset_close(subs, TorusSubgroup.full_torus(m))
@@ -117,7 +109,7 @@ def _partition_lattice_poset(m):
 def check_mobius_crosscut(max_m=4, n_random=200, seed=0):
     """The literal subset sums agree with the recursive Mobius function."""
     report = CheckReport("mobius-crosscut")
-    for m in range(2, min(max_m, 4) + 1):
+    for m in range(2, max_m + 1):
         lat = _partition_lattice_poset(m)
         for a in lat.elements:
             for b in lat.elements:
@@ -126,9 +118,9 @@ def check_mobius_crosscut(max_m=4, n_random=200, seed=0):
                 report.count()
                 if lat.crosscut_coeff(a, b) != lat.mobius(a, b):
                     report.fail("crosscut != mobius on block tori of rank %d" % m)
-    for m in range(2, min(max_m + 1, 5) + 1):
+    for m in range(2, max_m + 2):
         lat = _partition_lattice_poset(m)
-        bottom = _block_torus(m, [list(range(1, m + 1))])
+        bottom = partition_to_subgroup(SetPartition.one_block(m))
         report.count()
         expected = (-1) ** (m - 1) * factorial(m - 1)
         if lat.mobius(bottom, TorusSubgroup.full_torus(m)) != expected:
@@ -149,7 +141,7 @@ def check_mobius_crosscut(max_m=4, n_random=200, seed=0):
                 for c in cut + [m]:
                     blocks.append(items[prev:c])
                     prev = c
-                seeds.append(_block_torus(m, blocks))
+                seeds.append(partition_to_subgroup(SetPartition(m, tuple(blocks))))
         else:
             seeds = [_random_subgroup(rng, m) for _ in range(rng.randint(1, 3))]
         p = poset_close(seeds, TorusSubgroup.full_torus(m))
@@ -208,21 +200,24 @@ def check_operator_algebra(n_random=500, seed=0):
             report.fail("composition differs from the product weight")
         n = rng.randint(0, 4)
         k = rng.randint(0, 4)
-        pn = pi_vi_n(n, x)
-        if pi_vi_n(n, pn) != pn:
+        pn = pi_mu_lbar(WeightFn.virtual_rank(n), x)
+        if pi_mu_lbar(WeightFn.virtual_rank(n), pn) != pn:
             report.fail("virtual-rank projection is not idempotent")
-        if k != n and pi_vi_n(k, pn) != LambdaBarElem.zero():
+        if k != n and pi_mu_lbar(WeightFn.virtual_rank(k), pn) != LambdaBarElem.zero():
             report.fail("virtual-rank projections are not orthogonal")
         total = LambdaBarElem.zero()
         for j in range(4):
-            total = total + pi_vi_n(j, x)
+            total = total + pi_mu_lbar(WeightFn.virtual_rank(j), x)
         if total != x:
             report.fail("virtual-rank projections do not sum to the identity")
         y = _random_lbar(rng)
-        lhs = pi_vi_n(n, lbar_mul(x, y))
+        lhs = pi_mu_lbar(WeightFn.virtual_rank(n), lbar_mul(x, y))
         rhs = LambdaBarElem.zero()
         for j in range(n + 1):
-            rhs = rhs + lbar_mul(pi_vi_n(j, x), pi_vi_n(n - j, y))
+            rhs = rhs + lbar_mul(
+                pi_mu_lbar(WeightFn.virtual_rank(j), x),
+                pi_mu_lbar(WeightFn.virtual_rank(n - j), y),
+            )
         if lhs != rhs:
             report.fail("tensor convolution rule fails")
     return report
@@ -308,22 +303,26 @@ def check_m_vanishing(n_instances=200, seed=0):
     return report
 
 
+# suite name -> (largest size bound, runner); a bound above the limit is
+# refused rather than clamped, so a report always covers the bound asked for
 SUITES = {
-    "eff-recursion": lambda max_m: check_eff_recursion(max_m=max_m),
-    "consistency": lambda max_m: check_consistency(max_m=max_m),
-    "mobius-crosscut": lambda max_m: check_mobius_crosscut(max_m=max_m, n_random=25 * max_m),
-    "operator-algebra": lambda max_m: check_operator_algebra(n_random=125 * max_m),
-    "model-pi1": lambda max_m: check_model_pi1(max_m=max_m),
+    "eff-recursion": (6, check_eff_recursion),
+    "consistency": (6, check_consistency),
+    "mobius-crosscut": (4, lambda max_m: check_mobius_crosscut(max_m=max_m, n_random=25 * max_m)),
+    "operator-algebra": (4, lambda max_m: check_operator_algebra(n_random=125 * max_m)),
+    "model-pi1": (3, check_model_pi1),
 }
 
 
 def run_suite(name, max_m):
     try:
-        suite = SUITES[name]
+        limit, suite = SUITES[name]
     except KeyError:
         raise GuardError(
             "unknown suite %r; choose from %s" % (name, ", ".join(sorted(SUITES)))
         ) from None
     if max_m < 1:
         raise GuardError("size bound must be positive")
+    if max_m > limit:
+        raise GuardError("suite %s supports size bounds up to %d" % (name, limit))
     return suite(max_m)

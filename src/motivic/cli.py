@@ -15,19 +15,12 @@ import sys
 
 from .coefficients import ECoeffTable
 from .checks import SUITES, run_suite
-from .errors import (
-    DivisionByZero,
-    ExprSyntaxError,
-    GuardError,
-    MotivicError,
-    PoleAtOne,
-    TooLarge,
-)
+from .errors import ExprSyntaxError, GuardError, MotivicError, TooLarge
 from .expr import eval_class, parse
 from .ratfield import canonical_str, pi_eval, specialize
 from .stackcalc import abelianize_bgl, gen_euler
 
-__all__ = ["main", "entry", "run"]
+__all__ = ["main", "entry"]
 
 
 def _build_parser():
@@ -176,25 +169,14 @@ def main(argv=None):
     wants_json = getattr(args, "json", False)
     try:
         return _COMMANDS[args.command](args, sys.stdout)
-    except (ExprSyntaxError, GuardError, TooLarge) as err:
+    except MotivicError as err:
         kind = type(err).__name__
         if wants_json:
             print(json.dumps(_error_payload(kind, err)))
         else:
             print("error (%s): %s" % (kind, err), file=sys.stderr)
-        return 2
-    except (PoleAtOne, DivisionByZero, MotivicError) as err:
-        kind = type(err).__name__
-        if wants_json:
-            print(json.dumps(_error_payload(kind, err)))
-        else:
-            print("error (%s): %s" % (kind, err), file=sys.stderr)
-        return 1
-
-
-def run(argv=None):
-    """Programmatic entry point; returns the exit status."""
-    return main(argv)
+        # syntax and size-guard errors (GuardError is a TooLarge) are usage errors
+        return 2 if isinstance(err, (ExprSyntaxError, TooLarge)) else 1
 
 
 def entry():

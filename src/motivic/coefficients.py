@@ -13,14 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import InternalInvariant, NotComparable, NotInPoset, TooLarge
-from .groups import (
-    GeneralLinear,
-    SetPartition,
-    q_lattice_gl,
-    upsilon_group,
-    weyl_index_gl,
-)
+from .errors import InternalInvariant, NotComparable, TooLarge
+from .groups import GeneralLinear, SetPartition, q_lattice_gl, upsilon_group
 from .ratfield import Polynomial, RatFunc, in_lambda_circ, pi_eval
 
 __all__ = [

@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ExprSyntaxError, GuardError
-from .groups import GeneralLinear, GroupDesc, product, torus, upsilon_group
+from .groups import GeneralLinear, GroupDesc, Torus, product, torus, upsilon_group
+from .groups import Product as GroupProduct
 from .ratfield import Polynomial, RatFunc
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
 
 DIM_MAX = 64  # exponents and dimensions in expressions
 GL_MAX = 16
+NEST_MAX = 100  # open brackets and parentheses; keeps recursion far from the stack limit
 
 
 class ClassExpr:
@@ -150,11 +152,21 @@ _ATOM_STARTS = {"A", "Gm", "P", "GL", "pt", "B", "(", "["}
 _GROUP_STARTS = {"GL", "Gm", "("}
 
 
+def _joined(cls, a, b):
+    """The n-ary node cls(a, b), splicing in the items of operands that are
+    already cls nodes, so each expression has one AST."""
+    items = ()
+    for e in (a, b):
+        items += e.items if isinstance(e, cls) else (e,)
+    return cls(items)
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -162,6 +174,12 @@ class _Parser:
     def next(self):
         tok = self.tokens[self.i]
         self.i += 1
+        if tok[0] in ("(", "["):
+            self.depth += 1
+            if self.depth > NEST_MAX:
+                raise GuardError("nesting depth exceeds the supported bound %d" % NEST_MAX)
+        elif tok[0] in (")", "]"):
+            self.depth -= 1
         return tok
 
     def fail(self, expected):
@@ -190,10 +208,7 @@ class _Parser:
             op = self.next()[0]
             rhs = self.term(allow_div)
             if op == "+":
-                if isinstance(node, Sum):
-                    node = Sum(node.items + (rhs,))
-                else:
-                    node = Sum((node, rhs))
+                node = _joined(Sum, node, rhs)
             else:
                 node = Diff(node, rhs)
         return node
@@ -204,11 +219,7 @@ class _Parser:
             kind = self.peek()[0]
             if kind == "*":
                 self.next()
-                rhs = self.factor()
-                if isinstance(node, Product):
-                    node = Product(node.items + (rhs,))
-                else:
-                    node = Product((node, rhs))
+                node = _joined(Product, node, self.factor())
             elif kind == "/" and allow_div:
                 self.next()
                 node = Quotient(node, self.group_atom())
@@ -364,9 +375,6 @@ def _prec(e):
 
 
 def render_group(g):
-    from .groups import Product as GroupProduct
-    from .groups import Torus
-
     if isinstance(g, GeneralLinear):
         return "GL(%d)" % g.m
     if isinstance(g, Torus):
@@ -407,7 +415,13 @@ def render(e):
             parts.append(s)
         return " * ".join(parts)
     if isinstance(e, Sum):
-        return " + ".join(render(item) for item in e.items)
+        parts = [render(e.items[0])]
+        for item in e.items[1:]:
+            s = render(item)
+            if isinstance(item, Diff):
+                s = "(%s)" % s
+            parts.append(s)
+        return " + ".join(parts)
     if isinstance(e, Diff):
         left = render(e.a)
         right = render(e.b)

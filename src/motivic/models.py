@@ -8,7 +8,7 @@ point modulo an abelian group, or the plain class ratio).
 
 from __future__ import annotations
 
-from .groups import GeneralLinear, torus
+from .groups import GeneralLinear, SetPartition, partition_to_subgroup, torus, upsilon_group
 from .ratfield import Polynomial, RatFunc
 from .stackcalc import StratifiedModel
 from .subgroups import TorusSubgroup
@@ -20,18 +20,6 @@ __all__ = [
     "torus_weighted_line_model",
     "torus_plane_model",
 ]
-
-
-def _block(m, *blocks):
-    rows = []
-    for b in blocks:
-        b = sorted(b)
-        for i in b[1:]:
-            row = [0] * m
-            row[b[0] - 1] = 1
-            row[i - 1] = -1
-            rows.append(tuple(row))
-    return TorusSubgroup(m, tuple(rows))
 
 
 def _poly(*coeffs):
@@ -47,7 +35,7 @@ def gl2_flag_model():
     scalars as stabilizer.  The quotient is a point with T automorphisms.
     """
     full = TorusSubgroup.full_torus(2)
-    scalars = _block(2, [1, 2])
+    scalars = partition_to_subgroup(SetPartition.one_block(2))
     return StratifiedModel(
         2,
         GeneralLinear(2),
@@ -68,7 +56,7 @@ def gl3_flag_model():
     scalars.  Total class: l^3 (l + 1)(l^2 + l + 1).
     """
     full = TorusSubgroup.full_torus(3)
-    scalars = _block(3, [1, 2, 3])
+    scalars = partition_to_subgroup(SetPartition.one_block(3))
     pair = _poly(-6, 3, 3)  # 3(l^2 + l - 2)
     total = _poly(0, 0, 0, 1, 2, 2, 1)  # l^6 + 2l^5 + 2l^4 + l^3
     rest = total - _poly(6) - 3 * pair
@@ -77,9 +65,9 @@ def gl3_flag_model():
         GeneralLinear(3),
         (
             (full, _poly(6)),
-            (_block(3, [1, 2]), pair),
-            (_block(3, [1, 3]), pair),
-            (_block(3, [2, 3]), pair),
+            (partition_to_subgroup(SetPartition(3, ((1, 2), (3,)))), pair),
+            (partition_to_subgroup(SetPartition(3, ((1, 3), (2,)))), pair),
+            (partition_to_subgroup(SetPartition(3, ((2, 3), (1,)))), pair),
             (scalars, rest),
         ),
     )
@@ -91,8 +79,6 @@ def gl3_free_model():
     Every point has trivial diagonal stabilizer and the quotient is a
     plain point.
     """
-    from .groups import upsilon_group
-
     return StratifiedModel(
         3,
         GeneralLinear(3),

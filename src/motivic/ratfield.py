@@ -21,7 +21,6 @@ __all__ = [
     "ELL",
     "ONE",
     "ZERO",
-    "rf_arith",
     "in_lambda_circ",
     "pi_eval",
     "specialize",
@@ -96,7 +95,7 @@ class Polynomial:
         return "Polynomial(%r)" % (self.coeffs,)
 
     def __str__(self):
-        return _poly_str(self.coeffs, "l")
+        return _poly_str(self.coeffs, _var_monomial("l"))
 
     def __neg__(self):
         return Polynomial(tuple(-c for c in self.coeffs))
@@ -365,22 +364,6 @@ ELL = RatFunc.ell()
 ONE = RatFunc.one()
 ZERO = RatFunc.zero()
 
-_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-
-
-def rf_arith(a, b, op):
-    """Field operation on two rational functions; op in add/sub/mul/div."""
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ValueError("unknown operation %r" % (op,)) from None
-    return fn(_coerce(a), _coerce(b))
-
 
 def in_lambda_circ(f):
     """Whether f is regular at l = 1 (reduced denominator nonzero there).
@@ -407,16 +390,17 @@ def pi_eval(f):
 # rendering
 
 
-def _fraction_str(c):
-    return str(c)
+def _power(var, k):
+    return var if k == 1 else "%s^%d" % (var, k)
 
 
-def _poly_str(coeffs, var, square_var=False):
-    """Render a coefficient tuple as text, highest degree first.
+def _var_monomial(var):
+    return lambda k: _power(var, k)
 
-    With square_var=True the degree-k monomial prints as var^k*var2^k with
-    var == "x": used by the two-variable specialization.
-    """
+
+def _poly_str(coeffs, monomial):
+    """Render a coefficient tuple as text, highest degree first; monomial(k)
+    is the text of the degree-k monomial for k >= 1."""
     if not coeffs:
         return "0"
     pieces = []
@@ -424,26 +408,12 @@ def _poly_str(coeffs, var, square_var=False):
         c = coeffs[k]
         if c == 0:
             continue
-        if square_var:
-            if k == 0:
-                mono = ""
-            elif k == 1:
-                mono = "x*y"
-            else:
-                mono = "x^%d*y^%d" % (k, k)
-        else:
-            if k == 0:
-                mono = ""
-            elif k == 1:
-                mono = var
-            else:
-                mono = "%s^%d" % (var, k)
-        if not mono:
-            body = _fraction_str(abs(c))
+        if k == 0:
+            body = str(abs(c))
         elif abs(c) == 1:
-            body = mono
+            body = monomial(k)
         else:
-            body = "%s*%s" % (_fraction_str(abs(c)), mono)
+            body = "%s*%s" % (abs(c), monomial(k))
         sign = "-" if c < 0 else "+"
         pieces.append((sign, body))
     first_sign, first_body = pieces[0]
@@ -476,17 +446,17 @@ def _is_simple_term(text):
     return " " not in text and "*" not in text and "/" not in text
 
 
-def canonical_str(f, var="l"):
-    """Canonical text form num/den with integer coefficients, content 1 and
-    the denominator a positive multiple of the stored monic one."""
+def _ratio_str(f, monomial):
+    """The num/den text behind canonical_str and specialize; monomial(k)
+    is the text of the image of l^k."""
     f = _coerce(f)
     if f.is_zero():
         return "0"
     num, den = _int_normalized(f)
-    num_s = _poly_str(num, var)
+    num_s = _poly_str(num, monomial)
     if len(den) == 1 and den[0] == 1:
         return num_s
-    den_s = _poly_str(den, var)
+    den_s = _poly_str(den, monomial)
     if not _is_simple_term(num_s):
         num_s = "(%s)" % num_s
     if not _is_simple_term(den_s):
@@ -494,14 +464,18 @@ def canonical_str(f, var="l"):
     return "%s/%s" % (num_s, den_s)
 
 
-def _substitute_z2(coeffs):
-    """Coefficients of p(z^2) given those of p(l)."""
-    if not coeffs:
-        return ()
-    out = [Fraction(0)] * (2 * (len(coeffs) - 1) + 1)
-    for k, c in enumerate(coeffs):
-        out[2 * k] = c
-    return tuple(out)
+def canonical_str(f, var="l"):
+    """Canonical text form num/den with integer coefficients, content 1 and
+    the denominator a positive multiple of the stored monic one.  On a
+    constant it agrees with str() of the Fraction."""
+    return _ratio_str(f, _var_monomial(var))
+
+
+# specialization target -> text of the image of l^k
+_SPECIALIZATIONS = {
+    "poincare_z": lambda k: _power("z", 2 * k),
+    "hodge_xy": lambda k: "%s*%s" % (_power("x", k), _power("y", k)),
+}
 
 
 def specialize(f, target):
@@ -510,31 +484,8 @@ def specialize(f, target):
     Both substitutions are exact; the result is returned as text in the
     target variables since the library itself stays univariate.
     """
-    f = _coerce(f)
-    if target == "poincare_z":
-        if f.is_zero():
-            return "0"
-        num, den = _int_normalized(f)
-        num_s = _poly_str(_substitute_z2(num), "z")
-        if len(den) == 1 and den[0] == 1:
-            return num_s
-        den_s = _poly_str(_substitute_z2(den), "z")
-        if not _is_simple_term(num_s):
-            num_s = "(%s)" % num_s
-        if not _is_simple_term(den_s):
-            den_s = "(%s)" % den_s
-        return "%s/%s" % (num_s, den_s)
-    if target == "hodge_xy":
-        if f.is_zero():
-            return "0"
-        num, den = _int_normalized(f)
-        num_s = _poly_str(num, "x", square_var=True)
-        if len(den) == 1 and den[0] == 1:
-            return num_s
-        den_s = _poly_str(den, "x", square_var=True)
-        if not _is_simple_term(num_s):
-            num_s = "(%s)" % num_s
-        if not _is_simple_term(den_s):
-            den_s = "(%s)" % den_s
-        return "%s/%s" % (num_s, den_s)
-    raise ValueError("unknown specialization target %r" % (target,))
+    try:
+        monomial = _SPECIALIZATIONS[target]
+    except KeyError:
+        raise ValueError("unknown specialization target %r" % (target,)) from None
+    return _ratio_str(f, monomial)

@@ -18,13 +18,7 @@ from fractions import Fraction
 
 from .coefficients import e_coeff_gl
 from .errors import NotAbelian, PoleAtOne, TooLarge
-from .groups import (
-    GeneralLinear,
-    Torus,
-    partition_to_subgroup,
-    q_lattice_gl,
-    upsilon_group,
-)
+from .groups import GeneralLinear, Torus, q_lattice_gl
 from .ratfield import RatFunc, canonical_str, in_lambda_circ, pi_eval
 from .subgroups import AbelianGroupClass, TorusSubgroup, poset_close
 
@@ -56,7 +50,11 @@ def _sorted_terms(terms):
 
 
 class _BarElem:
-    """Shared finite-support mapping class -> coefficient."""
+    """Shared finite-support mapping class -> coefficient.
+
+    Subclasses fix the coefficient ring through the one hook _coerce;
+    coefficients render through canonical_str in both rings.
+    """
 
     __slots__ = ("terms",)
 
@@ -69,7 +67,15 @@ class _BarElem:
                 acc[cls] = acc[cls] + coeff
             else:
                 acc[cls] = coeff
-        self.terms = {c: v for c, v in acc.items() if not self._is_zero(v)}
+        self.terms = {c: v for c, v in acc.items() if v}
+
+    @classmethod
+    def zero(cls):
+        return cls(())
+
+    @classmethod
+    def term(cls, group_class, coeff=1):
+        return cls(((group_class, coeff),))
 
     def __eq__(self, other):
         return type(self) is type(other) and self.terms == other.terms
@@ -84,23 +90,17 @@ class _BarElem:
         return not self.terms
 
     def coeff(self, cls):
-        return self.terms.get(cls, self._zero())
+        return self.terms.get(cls, self._coerce(0))
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        out = dict(self.terms)
-        for cls, v in other.terms.items():
-            out[cls] = out.get(cls, self._zero()) + v
-        return type(self)(out)
+        return type(self)(list(self.terms.items()) + list(other.terms.items()))
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        out = dict(self.terms)
-        for cls, v in other.terms.items():
-            out[cls] = out.get(cls, self._zero()) - v
-        return type(self)(out)
+        return self + (-other)
 
     def __neg__(self):
         return type(self)({c: -v for c, v in self.terms.items()})
@@ -114,7 +114,7 @@ class _BarElem:
             return "0"
         pieces = []
         for cls, coeff in _sorted_terms(self.terms):
-            pieces.append((self._coeff_str(coeff), "[%s]" % cls))
+            pieces.append((canonical_str(coeff), "[%s]" % cls))
         out = []
         for i, (cstr, tag) in enumerate(pieces):
             neg = cstr.startswith("-") and "(" not in cstr
@@ -128,7 +128,7 @@ class _BarElem:
 
     def to_json(self):
         return [
-            {"class": cls.to_json(), "coeff": self._coeff_json(coeff)}
+            {"class": cls.to_json(), "coeff": canonical_str(coeff)}
             for cls, coeff in _sorted_terms(self.terms)
         ]
 
@@ -142,30 +142,6 @@ class LambdaBarElem(_BarElem):
             return v
         return RatFunc.from_fraction(Fraction(v))
 
-    @staticmethod
-    def _zero():
-        return RatFunc.zero()
-
-    @staticmethod
-    def _is_zero(v):
-        return v.is_zero()
-
-    @staticmethod
-    def _coeff_str(v):
-        return canonical_str(v)
-
-    @staticmethod
-    def _coeff_json(v):
-        return canonical_str(v)
-
-    @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
-    def term(cls, group_class, coeff=1):
-        return cls(((group_class, cls._coerce(coeff)),))
-
 
 class OmegaBarElem(_BarElem):
     """Finite sum of classes with exact rational coefficients."""
@@ -176,49 +152,13 @@ class OmegaBarElem(_BarElem):
             return v.as_fraction()
         return Fraction(v)
 
-    @staticmethod
-    def _zero():
-        return Fraction(0)
-
-    @staticmethod
-    def _is_zero(v):
-        return v == 0
-
-    @staticmethod
-    def _coeff_str(v):
-        return str(v)
-
-    @staticmethod
-    def _coeff_json(v):
-        return str(v)
-
-    @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
-    def term(cls, group_class, coeff=1):
-        return cls(((group_class, Fraction(coeff)),))
-
 
 def lbar_mul(a, b):
-    """Bilinear product: [T][T'] = [T x T'] on basis classes."""
-    out = {}
-    for ca, va in a.terms.items():
-        for cb, vb in b.terms.items():
-            cls = ca.product(cb)
-            v = va * vb
-            out[cls] = out.get(cls, RatFunc.zero()) + v
-    return LambdaBarElem(out)
-
-
-def omega_mul(a, b):
-    out = {}
-    for ca, va in a.terms.items():
-        for cb, vb in b.terms.items():
-            cls = ca.product(cb)
-            out[cls] = out.get(cls, Fraction(0)) + va * vb
-    return OmegaBarElem(out)
+    """Bilinear product: [T][T'] = [T x T'] on basis classes; the result
+    has the coefficient ring of a."""
+    return type(a)(
+        (ca.product(cb), va * vb) for ca, va in a.terms.items() for cb, vb in b.terms.items()
+    )
 
 
 def gen_euler(x):
@@ -318,17 +258,14 @@ def weight_mul(a, b):
 
 
 def pi_mu_lbar(mu, x):
-    """Apply the weight diagonally: c*[T] becomes mu([T])*c*[T]."""
+    """Apply the weight diagonally: c*[T] becomes mu([T])*c*[T], in the
+    coefficient ring of x."""
     out = {}
     for cls, v in x.terms.items():
         w = mu.evaluate(cls)
         if w:
-            out[cls] = v * RatFunc.from_fraction(w)
-    return LambdaBarElem(out)
-
-
-def pi_vi_n(n, x):
-    return pi_mu_lbar(WeightFn.virtual_rank(n), x)
+            out[cls] = v * w
+    return type(x)(out)
 
 
 def abelianize_bgl(m):
@@ -430,11 +367,10 @@ def upsilon_pi_mu(x, mu):
             raise TooLarge("GL models guarded at rank <= %d" % MODEL_GL_GUARD)
         lat = q_lattice_gl(m)
         total = RatFunc.zero()
-        for q in lat.partitions:
+        for q, sub_q in zip(lat.partitions, lat.elements):
             e_q = e_coeff_gl(m, q)
             if e_q.is_zero():
                 continue
-            sub_q = partition_to_subgroup(q)
             ups_q = (L - 1) ** q.n_blocks
             for stab, cls in x.strata:
                 w = mu.evaluate(stab.intersect(sub_q).iso_class())

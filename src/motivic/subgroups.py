@@ -229,9 +229,10 @@ class TorusSubgroup:
     def __post_init__(self):
         if self.ambient_rank < 1:
             raise ValueError("ambient rank must be positive")
-        rows = hnf(self.char_lattice)
-        if rows and len(rows[0]) != self.ambient_rank:
+        # check the raw rows: hnf drops zero rows, whatever their length
+        if any(len(r) != self.ambient_rank for r in self.char_lattice):
             raise ValueError("lattice row length differs from ambient rank")
+        rows = hnf(self.char_lattice)
         if len(rows) > self.ambient_rank:
             raise ValueError("lattice rank exceeds ambient rank")
         object.__setattr__(self, "char_lattice", rows)

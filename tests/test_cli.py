@@ -140,6 +140,31 @@ def test_check_reports_instances(capsys):
     assert data["instances"] > 0
 
 
+def test_check_refuses_bounds_above_suite_limit(capsys):
+    limits = {
+        "eff-recursion": 6,
+        "consistency": 6,
+        "mobius-crosscut": 4,
+        "operator-algebra": 4,
+        "model-pi1": 3,
+    }
+    for suite, limit in limits.items():
+        code, out, _ = run_cli(capsys, "check", suite, "--max", str(limit + 1), "--json")
+        assert code == 2, suite
+        assert json.loads(out)["error"]["type"] == "GuardError"
+    code, out, _ = run_cli(capsys, "check", "consistency", "--max", "50", "--json")
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
+def test_eval_deep_nesting_is_a_guard_error(capsys):
+    text = "(" * 3000 + "pt" + ")" * 3000
+    code, out, err = run_cli(capsys, "eval", text, "--json")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "GuardError"
+    assert err == ""
+
+
 def test_check_unknown_suite_usage_error(capsys):
     code, _, _ = run_cli(capsys, "check", "no-such-suite")
     assert code == 2

@@ -5,6 +5,7 @@ import pytest
 
 from motivic.errors import ExprSyntaxError, GuardError
 from motivic.expr import (
+    NEST_MAX,
     Affine,
     BStack,
     Diff,
@@ -19,6 +20,7 @@ from motivic.expr import (
     eval_class,
     parse,
     render,
+    render_group,
 )
 from motivic.groups import GeneralLinear, product, torus, upsilon_group
 from motivic.ratfield import ELL, ONE, RatFunc
@@ -151,6 +153,25 @@ def random_expr(rng, depth=0):
     return Quotient(random_expr(rng, depth + 1), GeneralLinear(rng.randint(1, 3)))
 
 
+def parenthesized(e):
+    """Text of e with every compound operand in parentheses."""
+
+    def wrap(x):
+        return "(%s)" % parenthesized(x)
+
+    if isinstance(e, Sum):
+        return " + ".join(wrap(item) for item in e.items)
+    if isinstance(e, Product):
+        return " * ".join(wrap(item) for item in e.items)
+    if isinstance(e, Diff):
+        return "%s - %s" % (wrap(e.a), wrap(e.b))
+    if isinstance(e, Power):
+        return "%s^%d" % (wrap(e.base), e.k)
+    if isinstance(e, Quotient):
+        return "[%s / %s]" % (parenthesized(e.expr), render_group(e.group))
+    return render(e)
+
+
 def test_render_round_trip_random():
     rng = random.Random(5)
     for _ in range(150):
@@ -159,6 +180,42 @@ def test_render_round_trip_random():
         again = parse(text)
         assert render(again) == text
         assert eval_class(again) == eval_class(e)
+        # parsed ASTs are canonical: parse(render(t)) == t, also when the
+        # source text nests sums and products in redundant parentheses
+        for t in (again, parse(parenthesized(e))):
+            assert parse(render(t)) == t
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["A^1 + (A^2 + A^3)", "A^1 * (A^2 * A^3)", "A^1 + (A^2 - A^3)", "(A^1 - A^2) + A^3"],
+)
+def test_parse_render_parse_is_parse(text):
+    tree = parse(text)
+    assert parse(render(tree)) == tree
+
+
+def test_nested_sums_and_products_flatten():
+    flat = Sum((Affine(1), Affine(2), Affine(3)))
+    assert parse("A^1 + (A^2 + A^3)") == parse("(A^1 + A^2) + A^3") == flat
+    assert parse("A^1 * (A^2 * A^3)") == Product((Affine(1), Affine(2), Affine(3)))
+    # a power or quotient is its own node and is not spliced
+    assert parse("A^1 * (A^2 * A^3)^2") == Product(
+        (Affine(1), Power(Product((Affine(2), Affine(3))), 2))
+    )
+    assert parse("A^1 + (A^2 - A^3)") == Sum((Affine(1), Diff(Affine(2), Affine(3))))
+
+
+def test_nesting_guard():
+    assert eval_class(parse("(" * NEST_MAX + "pt" + ")" * NEST_MAX)) == ONE
+    with pytest.raises(GuardError):
+        parse("(" * (NEST_MAX + 1) + "pt" + ")" * (NEST_MAX + 1))
+    with pytest.raises(GuardError):
+        parse("[" * (NEST_MAX + 1) + "pt" + " / Gm]" * (NEST_MAX + 1))
+    with pytest.raises(GuardError):
+        parse("[pt / " + "(" * (NEST_MAX + 1) + "Gm" + ")" * (NEST_MAX + 1) + "]")
+    # sibling groups do not add up
+    assert parse(" + ".join(["(pt)"] * (2 * NEST_MAX))) == Sum((Point(),) * (2 * NEST_MAX))
 
 
 def test_eval_ring_morphism_on_nodes():

@@ -13,7 +13,6 @@ from motivic.ratfield import (
     canonical_str,
     in_lambda_circ,
     pi_eval,
-    rf_arith,
     specialize,
 )
 
@@ -21,22 +20,22 @@ L = ELL
 
 
 def test_difference_of_squares():
-    assert rf_arith(L - 1, L + 1, "mul") == L * L - 1
+    assert (L - 1) * (L + 1) == L * L - 1
 
 
 def test_cancellation():
-    assert rf_arith(L * L - 1, L - 1, "div") == L + 1
+    assert (L * L - 1) / (L - 1) == L + 1
 
 
 def test_partial_fraction_sum():
     # 1/(l-1) + 1/(l+1), oracle by hand: common denominator l^2 - 1.
-    got = rf_arith(ONE / (L - 1), ONE / (L + 1), "add")
+    got = ONE / (L - 1) + ONE / (L + 1)
     assert got == (2 * L) / (L * L - 1)
 
 
 def test_div_by_zero():
     with pytest.raises(DivisionByZero):
-        rf_arith(ONE, RatFunc.zero(), "div")
+        ONE / RatFunc.zero()
 
 
 def test_canonical_form_monic_den_reduced():
@@ -126,6 +125,14 @@ def test_pi_is_ring_morphism_where_defined(a, b):
         assert in_lambda_circ(a * b)
         assert pi_eval(a + b) == pi_eval(a) + pi_eval(b)
         assert pi_eval(a * b) == pi_eval(a) * pi_eval(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(max_denominator=10**6).filter(bool))
+def test_canonical_str_of_constant_is_fraction_str(q):
+    # rational coefficients (after l = 1) render through canonical_str
+    assert canonical_str(q) == str(q)
+    assert canonical_str(RatFunc.from_fraction(q)) == str(q)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,0 +1,42 @@
+"""The README's examples are part of the public surface: run them."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from motivic.cli import main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _block_after(heading, lang):
+    """Body of the first ```lang fence after the given heading line."""
+    tail = README[README.index(heading) :]
+    return re.search(r"```%s\n(.*?)```" % lang, tail, re.S).group(1)
+
+
+def _transcripts():
+    """(argv, expected stdout) for each `$ motivic ...` in the CLI examples."""
+    out = []
+    for chunk in _block_after("Examples:", "text").split("\n\n"):
+        command, *lines = chunk.strip().splitlines()
+        assert command.startswith("$ motivic ")
+        out.append((shlex.split(command)[2:], "".join(line + "\n" for line in lines)))
+    return out
+
+
+def test_library_tour_runs(capsys):
+    exec(_block_after("## Library tour", "python"), {})
+    assert capsys.readouterr().out == "1/2*[Gm^2] - 3/4*[Gm]\n"
+
+
+TRANSCRIPTS = _transcripts()
+
+
+@pytest.mark.parametrize("argv,expected", TRANSCRIPTS, ids=[" ".join(a) for a, _ in TRANSCRIPTS])
+def test_cli_transcript(argv, expected, capsys, monkeypatch):
+    monkeypatch.delenv("MOTIVIC_WIDTH", raising=False)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected

@@ -27,7 +27,6 @@ from motivic.stackcalc import (
     p_lattice,
     pi_mu_lbar,
     pi_re_n,
-    pi_vi_n,
     upsilon_pi_mu,
     weight_mul,
 )
@@ -140,24 +139,27 @@ def test_operator_composition_property(m1, m2, x):
 def test_virtual_rank_family(x):
     # idempotent, orthogonal, and summing to the identity in bounded rank
     for n in range(4):
-        pn = pi_vi_n(n, x)
-        assert pi_vi_n(n, pn) == pn
+        pn = pi_mu_lbar(WeightFn.virtual_rank(n), x)
+        assert pi_mu_lbar(WeightFn.virtual_rank(n), pn) == pn
         for k in range(4):
             if k != n:
-                assert pi_vi_n(k, pn) == LambdaBarElem.zero()
+                assert pi_mu_lbar(WeightFn.virtual_rank(k), pn) == LambdaBarElem.zero()
     acc = LambdaBarElem.zero()
     for n in range(4):
-        acc = acc + pi_vi_n(n, x)
+        acc = acc + pi_mu_lbar(WeightFn.virtual_rank(n), x)
     assert acc == x
 
 
 @settings(max_examples=80, deadline=None)
 @given(lbar_elems(), lbar_elems(), st.integers(min_value=0, max_value=4))
 def test_virtual_rank_tensor_convolution(a, b, n):
-    lhs = pi_vi_n(n, lbar_mul(a, b))
+    lhs = pi_mu_lbar(WeightFn.virtual_rank(n), lbar_mul(a, b))
     rhs = LambdaBarElem.zero()
     for j in range(n + 1):
-        rhs = rhs + lbar_mul(pi_vi_n(j, a), pi_vi_n(n - j, b))
+        rhs = rhs + lbar_mul(
+            pi_mu_lbar(WeightFn.virtual_rank(j), a),
+            pi_mu_lbar(WeightFn.virtual_rank(n - j), b),
+        )
     assert lhs == rhs
 
 
@@ -165,9 +167,14 @@ def test_virtual_rank_tensor_convolution(a, b, n):
 @given(lbar_elems(), lbar_elems())
 def test_gen_euler_ring_morphism(a, b):
     assert gen_euler(a + b) == gen_euler(a) + gen_euler(b)
-    from motivic.stackcalc import omega_mul
+    assert gen_euler(lbar_mul(a, b)) == lbar_mul(gen_euler(a), gen_euler(b))
 
-    assert gen_euler(lbar_mul(a, b)) == omega_mul(gen_euler(a), gen_euler(b))
+
+@settings(max_examples=80, deadline=None)
+@given(weights(), lbar_elems())
+def test_gen_euler_commutes_with_weights(mu, x):
+    # the projections are linear over both coefficient rings
+    assert pi_mu_lbar(mu, gen_euler(x)) == gen_euler(pi_mu_lbar(mu, x))
 
 
 # ---------------------------------------------------------------------------

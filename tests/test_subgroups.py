@@ -161,6 +161,15 @@ def test_contains_examples():
     assert contains(block_torus(3, [1, 2]), scalars3)
 
 
+def test_row_length_checked_before_zero_rows_drop():
+    # a zero row of the wrong length must not pass as the full torus
+    with pytest.raises(ValueError):
+        TorusSubgroup(3, ((0, 0),))
+    with pytest.raises(ValueError):
+        TorusSubgroup(2, ((1, 0), (0, 0, 0)))
+    assert TorusSubgroup(3, ((0, 0, 0),)) == TorusSubgroup.full_torus(3)
+
+
 def test_iso_class_examples():
     assert iso_class(TorusSubgroup.full_torus(4)) == AbelianGroupClass(4)
     s = TorusSubgroup(2, ((2, 0), (0, 1)))
