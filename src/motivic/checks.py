@@ -23,8 +23,8 @@ from .errors import GuardError
 from .groups import (
     GeneralLinear,
     SetPartition,
-    enumerate_partitions,
     partition_to_subgroup,
+    q_lattice_gl,
     upsilon_group,
 )
 from .models import (
@@ -101,16 +101,11 @@ def _random_subgroup(rng, m):
     return TorusSubgroup(m, rows)
 
 
-def _partition_lattice_poset(m):
-    subs = [partition_to_subgroup(p) for p in enumerate_partitions(m)]
-    return poset_close(subs, TorusSubgroup.full_torus(m))
-
-
 def check_mobius_crosscut(max_m=4, n_random=200, seed=0):
     """The literal subset sums agree with the recursive Mobius function."""
     report = CheckReport("mobius-crosscut")
     for m in range(2, max_m + 1):
-        lat = _partition_lattice_poset(m)
+        lat = q_lattice_gl(m)
         for a in lat.elements:
             for b in lat.elements:
                 if not lat.leq(a, b):
@@ -119,7 +114,7 @@ def check_mobius_crosscut(max_m=4, n_random=200, seed=0):
                 if lat.crosscut_coeff(a, b) != lat.mobius(a, b):
                     report.fail("crosscut != mobius on block tori of rank %d" % m)
     for m in range(2, max_m + 2):
-        lat = _partition_lattice_poset(m)
+        lat = q_lattice_gl(m)
         bottom = partition_to_subgroup(SetPartition.one_block(m))
         report.count()
         expected = (-1) ** (m - 1) * factorial(m - 1)

@@ -8,16 +8,15 @@ canonical forms make equality, poset construction and Mobius tables
 deterministic.
 
 SubgroupPoset builds its incidence and Mobius tables eagerly; queries are
-read-only afterwards.  The tables are computed with int64 numpy kernels
-when an a-priori bound certifies that no intermediate value can overflow,
-and with arbitrary-precision Python integers otherwise.
+read-only afterwards.  Both tables are computed in exact Python integers,
+with down-sets as bitmasks; numpy arrays only store the results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -136,9 +135,7 @@ def snf_divisors(mat):
             for j in range(i + 1, len(divisors)):
                 x, y = divisors[i], divisors[j]
                 if y % x != 0:
-                    from math import gcd as _gcd
-
-                    g = _gcd(x, y)
+                    g = gcd(x, y)
                     divisors[i], divisors[j] = g, x * y // g
                     changed = True
     return sorted(divisors)
@@ -157,6 +154,16 @@ def _row_in_lattice(row, rows, pivots):
             if q:
                 v = [a - q * b for a, b in zip(v, r)]
     return all(x == 0 for x in v)
+
+
+def _bit_indices(mask):
+    """Positions of the set bits of a nonnegative int, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +190,6 @@ class AbelianGroupClass:
         chain = tuple(d for d in snf_divisors([[t if i == j else 0 for j in range(len(tors))] for i, t in enumerate(tors)]) if d > 1)
         object.__setattr__(self, "torsion", chain)
 
-    @property
-    def rank(self):
-        """Dimension of the maximal torus; torsion does not contribute."""
-        return self.torus_rank
-
     def torsion_order(self):
         return prod(self.torsion) if self.torsion else 1
 
@@ -211,9 +213,6 @@ class AbelianGroupClass:
         return cls(obj["rank"], tuple(obj["torsion"]))
 
 
-TRIVIAL_CLASS = AbelianGroupClass(0, ())
-
-
 # ---------------------------------------------------------------------------
 # torus subgroups
 
@@ -221,7 +220,7 @@ TRIVIAL_CLASS = AbelianGroupClass(0, ())
 @dataclass(frozen=True)
 class TorusSubgroup:
     """Closed subgroup of G_m^ambient_rank, by its vanishing-character
-    lattice in canonical HNF.  Equaccording to (ambient_rank, lattice)."""
+    lattice in canonical HNF.  Equality compares (ambient_rank, lattice)."""
 
     ambient_rank: int
     char_lattice: tuple
@@ -303,66 +302,6 @@ def iso_class(a):
 # posets
 
 
-def _max_abs_entry(elements):
-    best = 0
-    for e in elements:
-        for row in e.char_lattice:
-            for v in row:
-                best = max(best, abs(v))
-    return best
-
-
-def _bulk_zeta(elements):
-    """leq[a][b] = subgroup a contained in subgroup b, for all pairs.
-
-    Vectorized: for each candidate superlattice L_a, reduce every stored
-    row of every L_b against it at once.  Used only when the overflow
-    bound certifies int64 exactness.
-    """
-    n = len(elements)
-    m = elements[0].ambient_rank
-    owners = []
-    all_rows = []
-    for j, e in enumerate(elements):
-        for row in e.char_lattice:
-            owners.append(j)
-            all_rows.append(row)
-    leq = np.zeros((n, n), dtype=bool)
-    if not all_rows:
-        leq[:, :] = True
-        return leq
-    owners = np.asarray(owners)
-    rows_arr = np.asarray(all_rows, dtype=np.int64)
-    for a, e in enumerate(elements):
-        hn = e.char_lattice
-        if not hn:
-            # the zero lattice contains no nonzero row, so only elements
-            # whose lattice is empty (the full torus) sit above a here
-            ok = np.ones(n, dtype=bool)
-            np.minimum.at(ok, owners, np.zeros(len(owners), dtype=bool))
-            leq[a, :] = ok
-            continue
-        v = rows_arr.copy()
-        for r in hn:
-            c = next(j for j, x in enumerate(r) if x)
-            q = v[:, c] // r[c]
-            v -= q[:, None] * np.asarray(r, dtype=np.int64)[None, :]
-        member = (v == 0).all(axis=1)
-        ok = np.ones(n, dtype=bool)
-        np.minimum.at(ok, owners, member)
-        leq[a, :] = ok
-    return leq
-
-
-def _pair_zeta(elements):
-    n = len(elements)
-    leq = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            leq[a, b] = elements[b].contains(elements[a])
-    return leq
-
-
 class SubgroupPoset:
     """A finite family of torus subgroups ordered by containment.
 
@@ -394,44 +333,60 @@ class SubgroupPoset:
         self.top = top
         self._index = index
         self._top_idx = index[top]
-        self._leq = self._build_zeta()
-        if not bool(self._leq[:, self._top_idx].all()):
+        n = len(elements)
+        downs = self._down_sets()
+        if len(downs[self._top_idx]) != n:
             raise ValueError("top does not contain every element")
-        self._mu = self._build_mobius()
+        self._leq = np.zeros((n, n), dtype=bool)
+        for b, down in enumerate(downs):
+            self._leq[down, b] = True
+        self._mu = self._build_mobius(downs)
 
     # -- construction helpers
 
-    def _build_zeta(self):
+    def _down_sets(self):
+        """For each element b, the indices of the elements a inside b.
+
+        a lies in b iff every row of L(b) lies in L(a).  Each distinct row
+        is tested once against every lattice, giving the bitmask of the
+        lattices that hold it; the down-set of b is the AND of the masks
+        of its rows (everything, when L(b) is zero).
+        """
+        elements = self.elements
+        pivots = [_pivot_cols(e.char_lattice) for e in elements]
+        holders = {}
+        for e in elements:
+            for row in e.char_lattice:
+                if row not in holders:
+                    holders[row] = sum(
+                        1 << a
+                        for a, f in enumerate(elements)
+                        if _row_in_lattice(row, f.char_lattice, pivots[a])
+                    )
+        everything = (1 << len(elements)) - 1
+        downs = []
+        for e in elements:
+            mask = everything
+            for row in e.char_lattice:
+                mask &= holders[row]
+            downs.append(_bit_indices(mask))
+        return downs
+
+    def _build_mobius(self, downs):
+        """Mobius table column by column, in Python integers:
+        mu(b, b) = 1 and mu(a, b) = -sum of mu(a, c) over a <= c < b."""
         n = len(self.elements)
-        bound = _max_abs_entry(self.elements)
-        k = max(len(e.char_lattice) for e in self.elements)
-        safe = bound == 0 or bound * (1 + bound) ** k < 2**62
-        if n > 48 and safe:
-            return _bulk_zeta(self.elements)
-        return _pair_zeta(self.elements)
-
-    def _topological_order(self):
-        # subgroup a strictly inside b has (dim, torsion order) strictly
-        # smaller lexicographically, so this key is a linear extension
-        def key(i):
-            c = self.elements[i].iso_class()
-            return (c.torus_rank, c.torsion_order())
-
-        return sorted(range(len(self.elements)), key=key)
-
-    def _build_mobius(self):
-        n = len(self.elements)
-        mu = np.zeros((n, n), dtype=np.int64)
-        leq = self._leq
-        for b in self._topological_order():
-            below = np.nonzero(leq[:, b])[0]
-            below = below[below != b]
-            if below.size:
-                col = -mu[:, below].sum(axis=1)
-            else:
-                col = np.zeros(n, dtype=np.int64)
-            col[b] += 1
-            mu[:, b] = col
+        mu = np.zeros((n, n), dtype=object)
+        cols = [None] * n
+        for b in sorted(range(n), key=lambda i: _order_key(self.elements[i])):
+            col = {b: 1}
+            for c in downs[b]:
+                if c != b:
+                    for a, v in cols[c].items():
+                        col[a] = col.get(a, 0) - v
+            cols[b] = col
+            for a, v in col.items():
+                mu[a, b] = v
         return mu
 
     # -- queries
@@ -513,6 +468,13 @@ class SubgroupPoset:
         return True
 
 
+def _order_key(e):
+    # a subgroup strictly inside another has strictly smaller (dim, torsion
+    # order), so sorting by this key gives a linear extension of containment
+    c = e.iso_class()
+    return (c.torus_rank, c.torsion_order(), e.char_lattice)
+
+
 def poset_close(seed, top):
     """Smallest intersection-closed family containing seed and top.
 
@@ -526,24 +488,20 @@ def poset_close(seed, top):
         if not top.contains(s):
             raise ValueError("top does not contain every seed element")
     family = {top}
-    family.update(seed)
-    frontier = list(family)
-    while frontier:
-        fresh = []
-        current = list(family)
-        for a in frontier:
-            for b in current:
-                c = a.intersect(b)
-                if c not in family:
-                    family.add(c)
-                    fresh.append(c)
-        frontier = fresh
+    items = [top]
+    for s in seed:
+        if s not in family:
+            family.add(s)
+            items.append(s)
+    # items grows while it is walked, so each unordered pair meets once
+    for i, a in enumerate(items):
+        for b in items[:i]:
+            c = a.intersect(b)
+            if c not in family:
+                family.add(c)
+                items.append(c)
 
-    def key(e):
-        c = e.iso_class()
-        return (c.torus_rank, c.torsion_order(), e.char_lattice)
-
-    ordered = sorted(family, key=key)
+    ordered = sorted(items, key=_order_key)
     return SubgroupPoset(ordered, top)
 
 

@@ -8,7 +8,6 @@ literals or come from an independently written oracle inside the test.
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from math import factorial
 
 import pytest
 

@@ -16,7 +16,7 @@ from motivic.coefficients import (
     m_big_coeff,
 )
 from motivic.errors import NotInPoset, TooLarge
-from motivic.groups import SetPartition, enumerate_partitions, q_lattice_gl
+from motivic.groups import SetPartition, enumerate_partitions
 from motivic.ratfield import ELL, ONE, RatFunc, ZERO, in_lambda_circ
 from motivic.subgroups import TorusSubgroup, poset_close
 

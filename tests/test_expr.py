@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -22,7 +21,7 @@ from motivic.expr import (
     render,
     render_group,
 )
-from motivic.groups import GeneralLinear, product, torus, upsilon_group
+from motivic.groups import GeneralLinear, product, torus
 from motivic.ratfield import ELL, ONE, RatFunc
 
 L = ELL

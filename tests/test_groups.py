@@ -1,7 +1,6 @@
 import itertools
 import random
 from collections import Counter
-from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -21,7 +20,7 @@ from motivic.groups import (
     upsilon_group,
     weyl_index_gl,
 )
-from motivic.ratfield import ELL, ONE, RatFunc, in_lambda_circ
+from motivic.ratfield import ELL, ONE, in_lambda_circ
 from motivic.subgroups import AbelianGroupClass, TorusSubgroup, iso_class
 
 L = ELL

@@ -4,9 +4,9 @@ from math import factorial
 import pytest
 
 from motivic.errors import AmbientMismatch, NotComparable, NotInPoset, TooLarge
+from motivic.groups import PartitionLattice
 from motivic.subgroups import (
     AbelianGroupClass,
-    SubgroupPoset,
     TorusSubgroup,
     contains,
     crosscut_coeff,
@@ -330,10 +330,39 @@ def test_subgroup_json_round_trip():
     assert AbelianGroupClass.from_json(c.to_json()) == c
 
 
-def test_bulk_and_pairwise_incidence_agree():
-    # same poset through both kernels: force the pure path by a tiny poset,
-    # and compare a mid-sized lattice entrywise against direct contains()
-    lat = partition_poset(4)
-    for i, a in enumerate(lat.elements):
-        for j, b in enumerate(lat.elements):
-            assert lat.leq_by_index(i, j) == contains(b, a)
+def assert_tables_match_definitions(p):
+    """leq against contains(); mu(a, a) = 1 and mu(a, b) is minus the sum
+    of mu(a, c) over a <= c < b, as a Python int."""
+    n = len(p)
+    for a in range(n):
+        for b in range(n):
+            assert p.leq_by_index(a, b) == contains(p.elements[b], p.elements[a])
+    for a in range(n):
+        for b in range(n):
+            if not p.leq_by_index(a, b):
+                continue
+            mu = p.mobius_by_index(a, b)
+            assert type(mu) is int
+            below = [c for c in range(n) if c != b and p.leq_by_index(a, c) and p.leq_by_index(c, b)]
+            assert mu == (1 if a == b else -sum(p.mobius_by_index(a, c) for c in below))
+
+
+def test_incidence_and_mobius_match_definitions():
+    lat = PartitionLattice(5)
+    assert len(lat) == 52
+    assert_tables_match_definitions(lat)
+    rng = random.Random(23)
+    for m in (3, 3, 4, 4, 4):
+        # one-row seeds close to 25-32 elements here
+        seeds = [TorusSubgroup(m, (tuple(rng.randint(-2, 2) for _ in range(m)),)) for _ in range(5)]
+        assert_tables_match_definitions(poset_close(seeds, TorusSubgroup.full_torus(m)))
+    # entries beyond the int64 range
+    big = 2**62 + 3
+    seeds = [
+        TorusSubgroup(3, ((1, big, 0),)),
+        TorusSubgroup(3, ((0, 1, -1),)),
+        TorusSubgroup(3, ((2, 0, big),)),
+    ]
+    p = poset_close(seeds, TorusSubgroup.full_torus(3))
+    assert max(abs(v) for e in p.elements for row in e.char_lattice for v in row) >= 2**62
+    assert_tables_match_definitions(p)
