@@ -68,7 +68,6 @@ from .coefficients import (
     ECoeffTable,
     consistency_residual,
     e_coeff_gl,
-    e_product_formula,
     e_recursion_residual,
     f_coeff_gl,
     f_recursion_residual,

@@ -306,6 +306,7 @@ SUITES = {
     "mobius-crosscut": (4, lambda max_m: check_mobius_crosscut(max_m=max_m, n_random=25 * max_m)),
     "operator-algebra": (4, lambda max_m: check_operator_algebra(n_random=125 * max_m)),
     "model-pi1": (3, check_model_pi1),
+    "m-vanishing": (4, lambda max_m: check_m_vanishing(n_instances=50 * max_m)),
 }
 
 

@@ -46,6 +46,7 @@ __all__ = [
 DIM_MAX = 64  # exponents and dimensions in expressions
 GL_MAX = 16
 NEST_MAX = 100  # open brackets and parentheses; keeps recursion far from the stack limit
+DEGREE_MAX = 768  # predicted result degree; keeps one evaluation within seconds
 
 
 class ClassExpr:
@@ -321,8 +322,62 @@ def parse(text):
 # evaluation
 
 
+def _group_degree(g):
+    """Degree in l of the class of g: its dimension."""
+    if isinstance(g, GeneralLinear):
+        return g.m * g.m
+    if isinstance(g, Torus):
+        return g.cls.torus_rank
+    return sum(_group_degree(f) for f in g.factors)
+
+
+def _degree_bounds(e):
+    """Bounds (n, d) on the numerator and denominator degrees of the class
+    of e, read off the AST without any arithmetic."""
+    if isinstance(e, (Affine, Projective)):
+        return e.n, 0
+    if isinstance(e, Gm):
+        return 1, 0
+    if isinstance(e, Point):
+        return 0, 0
+    if isinstance(e, GLClass):
+        return e.m * e.m, 0
+    if isinstance(e, Product):
+        bounds = [_degree_bounds(item) for item in e.items]
+        return sum(n for n, _ in bounds), sum(d for _, d in bounds)
+    if isinstance(e, Power):
+        n, d = _degree_bounds(e.base)
+        return n * e.k, d * e.k
+    if isinstance(e, (Sum, Diff)):
+        # over the common denominator each numerator gains the other degrees
+        items = e.items if isinstance(e, Sum) else (e.a, e.b)
+        bounds = [_degree_bounds(item) for item in items]
+        den = sum(d for _, d in bounds)
+        return max(n + den - d for n, d in bounds), den
+    if isinstance(e, Quotient):
+        n, d = _degree_bounds(e.expr)
+        return n, d + _group_degree(e.group)
+    if isinstance(e, BStack):
+        return 0, _group_degree(e.group)
+    raise TypeError("not a class expression: %r" % (e,))
+
+
 def eval_class(e):
-    """Class of the expression in Q(l); quotients divide by the group class."""
+    """Class of the expression in Q(l); quotients divide by the group class.
+
+    Before any arithmetic, an expression whose predicted result degree
+    (the larger of its two degree bounds) exceeds DEGREE_MAX is refused
+    with GuardError.
+    """
+    degree = max(_degree_bounds(e))
+    if degree > DEGREE_MAX:
+        raise GuardError(
+            "predicted degree %d exceeds the supported bound %d" % (degree, DEGREE_MAX)
+        )
+    return _eval(e)
+
+
+def _eval(e):
     if isinstance(e, Affine):
         return RatFunc(Polynomial.monomial(e.n))
     if isinstance(e, Gm):
@@ -337,19 +392,19 @@ def eval_class(e):
     if isinstance(e, Product):
         acc = RatFunc.one()
         for item in e.items:
-            acc = acc * eval_class(item)
+            acc = acc * _eval(item)
         return acc
     if isinstance(e, Power):
-        return eval_class(e.base) ** e.k
+        return _eval(e.base) ** e.k
     if isinstance(e, Sum):
         acc = RatFunc.zero()
         for item in e.items:
-            acc = acc + eval_class(item)
+            acc = acc + _eval(item)
         return acc
     if isinstance(e, Diff):
-        return eval_class(e.a) - eval_class(e.b)
+        return _eval(e.a) - _eval(e.b)
     if isinstance(e, Quotient):
-        return eval_class(e.expr) / upsilon_group(e.group)
+        return _eval(e.expr) / upsilon_group(e.group)
     if isinstance(e, BStack):
         return RatFunc.one() / upsilon_group(e.group)
     raise TypeError("not a class expression: %r" % (e,))

@@ -268,10 +268,6 @@ class PartitionLattice(SubgroupPoset):
         super().__init__(elements, TorusSubgroup.full_torus(m))
         self.m = m
         self.partitions = tuple(parts)
-        self._partition_index = {p: i for i, p in enumerate(parts)}
-
-    def index_of_partition(self, p):
-        return self._partition_index[p]
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import e_coeff_gl
+from .coefficients import e_coeff_gl, integer_partitions, scalar_e, type_weight
 from .errors import NotAbelian, PoleAtOne, TooLarge
 from .groups import GeneralLinear, Torus, q_lattice_gl
 from .ratfield import RatFunc, canonical_str, in_lambda_circ, pi_eval
@@ -270,17 +270,20 @@ def pi_mu_lbar(mu, x):
 
 def abelianize_bgl(m):
     """Class of the point stack with GL(m) automorphisms, written in the
-    torus basis: sum over block tori Q of E(GL(m), Q) * [G_m^blocks]."""
+    torus basis: sum over block tori Q of E(GL(m), Q) * [G_m^blocks].
+    The block tori with block sizes lambda share one E and together add
+    type_weight(lambda) * prod_i E(lambda_i) to [G_m^len(lambda)]."""
     if m < 1:
         raise ValueError("m must be positive")
     if m > ABELIANIZE_GUARD:
         raise TooLarge("abelianization guarded at m <= %d" % ABELIANIZE_GUARD)
-    lat = q_lattice_gl(m)
-    out = {}
-    for q in lat.partitions:
-        cls = AbelianGroupClass(q.n_blocks)
-        out[cls] = out.get(cls, RatFunc.zero()) + e_coeff_gl(m, q)
-    return LambdaBarElem(out)
+    terms = []
+    for sizes in integer_partitions(m):
+        coeff = RatFunc.from_fraction(type_weight(sizes))
+        for k in sizes:
+            coeff = coeff * scalar_e(k)
+        terms.append((AbelianGroupClass(len(sizes)), coeff))
+    return LambdaBarElem(terms)
 
 
 # ---------------------------------------------------------------------------

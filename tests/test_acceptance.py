@@ -21,7 +21,6 @@ from motivic.coefficients import (
     ECoeffTable,
     consistency_residual,
     e_coeff_gl,
-    e_product_formula,
     e_recursion_residual,
     f_recursion_residual,
 )
@@ -39,6 +38,7 @@ from motivic.ratfield import (
     pi_eval,
 )
 from motivic.stackcalc import WeightFn, model_total_upsilon, upsilon_pi_mu
+from test_coefficients import _mobius_e
 
 L = ELL
 
@@ -109,8 +109,8 @@ def test_criterion_05_product_form_and_membership(acceptance):
     ):
         for m in range(1, 6):
             for q in enumerate_partitions(m):
-                direct = e_coeff_gl(m, q)
-                assert e_product_formula(m, q) == direct, (m, q)
+                direct = _mobius_e(m, q)
+                assert e_coeff_gl(m, q) == direct, (m, q)
                 assert in_lambda_circ(direct), (m, q)
 
 

@@ -124,6 +124,7 @@ def test_check_suites_exit_zero(capsys):
         ("mobius-crosscut", 2),
         ("operator-algebra", 1),
         ("model-pi1", 3),
+        ("m-vanishing", 1),
     ):
         code, out, _ = run_cli(capsys, "check", suite, "--max", str(size))
         assert code == 0, (suite, out)
@@ -136,6 +137,10 @@ def test_check_reports_instances(capsys):
     data = json.loads(out)
     assert data["ok"] is True
     assert data["instances"] > 0
+    # criterion 10 under its suite name: 50 instances per unit of --max
+    code, out, _ = run_cli(capsys, "check", "m-vanishing", "--max", "4")
+    assert code == 0
+    assert out == "m-vanishing: 200 instances, 0 failures\n"
 
 
 def test_check_refuses_bounds_above_suite_limit(capsys):
@@ -145,6 +150,7 @@ def test_check_refuses_bounds_above_suite_limit(capsys):
         "mobius-crosscut": 4,
         "operator-algebra": 4,
         "model-pi1": 3,
+        "m-vanishing": 4,
     }
     for suite, limit in limits.items():
         code, out, _ = run_cli(capsys, "check", suite, "--max", str(limit + 1), "--json")
@@ -153,6 +159,13 @@ def test_check_refuses_bounds_above_suite_limit(capsys):
     code, out, _ = run_cli(capsys, "check", "consistency", "--max", "50", "--json")
     assert code == 2
     assert "error" in json.loads(out)
+
+
+def test_eval_degree_guard_error(capsys):
+    code, out, err = run_cli(capsys, "eval", "(GL(16))^64", "--json")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "GuardError"
+    assert err == ""
 
 
 def test_eval_deep_nesting_is_a_guard_error(capsys):

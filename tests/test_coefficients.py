@@ -1,6 +1,8 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -9,15 +11,21 @@ from motivic.coefficients import (
     compositions,
     consistency_residual,
     e_coeff_gl,
-    e_product_formula,
     e_recursion_residual,
     f_coeff_gl,
     f_recursion_residual,
     m_big_coeff,
 )
 from motivic.errors import NotInPoset, TooLarge
-from motivic.groups import SetPartition, enumerate_partitions
+from motivic.groups import (
+    GeneralLinear,
+    SetPartition,
+    enumerate_partitions,
+    q_lattice_gl,
+    upsilon_group,
+)
 from motivic.ratfield import ELL, ONE, RatFunc, ZERO, in_lambda_circ
+from motivic.stackcalc import abelianize_bgl
 from motivic.subgroups import TorusSubgroup, poset_close
 
 L = ELL
@@ -52,21 +60,52 @@ def test_e_guard():
         e_coeff_gl(8, SetPartition.one_block(8))
 
 
+def _mobius_e(m, q):
+    """Oracle for e_coeff_gl: the defining Mobius-weighted sum over the
+    block-torus lattice.  Upsilon(Q) times the sum, over block tori Q'
+    containing Q, of mu(Q, Q') / (WeylIndex(Q') * Upsilon(C(Q'))), with the
+    terms grouped by (block-size multiset, mu) before any rational
+    arithmetic."""
+    lat = q_lattice_gl(m)
+    iq = lat.partitions.index(q)
+    groups = Counter()
+    for j, p in enumerate(lat.partitions):
+        if lat.leq_by_index(iq, j):
+            groups[p.block_sizes(), lat.mobius_by_index(iq, j)] += 1
+    acc = ZERO
+    for (sizes, mu), count in sorted(groups.items()):
+        weyl = factorial(m) // prod(factorial(s) for s in sizes)
+        ups = prod((upsilon_group(GeneralLinear(s)) for s in sizes), start=ONE)
+        acc = acc + RatFunc.from_fraction(Fraction(count * mu, weyl)) / ups
+    return (L - 1) ** q.n_blocks * acc
+
+
 def test_product_formula_examples():
-    assert e_product_formula(3, SetPartition.one_block(3)) == e_coeff_gl(
+    assert e_coeff_gl(3, SetPartition.one_block(3)) == _mobius_e(
         3, SetPartition.one_block(3)
     )
-    assert e_product_formula(2, SetPartition.singletons(2)) == RatFunc.from_fraction(
-        Fraction(1, 2)
-    )
-    got = e_product_formula(3, SetPartition(3, ((1, 2), (3,))))
-    assert got == EXPECTED_E2 / 3
+    for e in (e_coeff_gl, _mobius_e):
+        assert e(2, SetPartition.singletons(2)) == RatFunc.from_fraction(Fraction(1, 2))
+        got = e(3, SetPartition(3, ((1, 2), (3,))))
+        assert got == EXPECTED_E2 / 3
 
 
 def test_product_formula_equals_direct_everywhere():
-    for m in range(1, 5):
+    for m in range(1, 6):
         for q in enumerate_partitions(m):
-            assert e_product_formula(m, q) == e_coeff_gl(m, q)
+            assert e_coeff_gl(m, q) == _mobius_e(m, q)
+    for m in (6, 7):
+        q = SetPartition.one_block(m)
+        assert e_coeff_gl(m, q) == _mobius_e(m, q)
+
+
+def test_coefficient_layer_builds_no_lattice():
+    q_lattice_gl.cache_clear()
+    e_coeff_gl.cache_clear()
+    ECoeffTable.build(7)
+    abelianize_bgl(6)
+    consistency_residual(4)
+    assert q_lattice_gl.cache_info().currsize == 0
 
 
 def test_lambda_circ_membership_all_partitions():

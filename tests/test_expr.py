@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
 from motivic.errors import ExprSyntaxError, GuardError
 from motivic.expr import (
+    DEGREE_MAX,
     NEST_MAX,
     Affine,
     BStack,
@@ -16,6 +18,7 @@ from motivic.expr import (
     Projective,
     Quotient,
     Sum,
+    _degree_bounds,
     eval_class,
     parse,
     render,
@@ -215,6 +218,34 @@ def test_nesting_guard():
         parse("[pt / " + "(" * (NEST_MAX + 1) + "Gm" + ")" * (NEST_MAX + 1) + "]")
     # sibling groups do not add up
     assert parse(" + ".join(["(pt)"] * (2 * NEST_MAX))) == Sum((Point(),) * (2 * NEST_MAX))
+
+
+def test_degree_guard():
+    t0 = time.perf_counter()
+    for text in (
+        "(GL(16))^16",
+        "(GL(16))^64",
+        "[pt/GL(16)] + [pt/GL(15)] + [pt/GL(13)] + [pt/GL(11)]",
+        "(A^64)^12 * Gm",
+        "[pt / Gm^64]^13",
+    ):
+        with pytest.raises(GuardError, match="predicted degree"):
+            eval_class(parse(text))
+    assert time.perf_counter() - t0 < 0.5
+    # exactly at the bound: degree 12 * 64 = DEGREE_MAX is still evaluated
+    assert DEGREE_MAX == 768
+    assert eval_class(parse("(A^64)^12")) == L**768
+
+
+def test_degree_bounds_hold():
+    # the predicted bounds are upper bounds for the reduced class
+    rng = random.Random(11)
+    exprs = [random_expr(rng) for _ in range(200)]
+    exprs += [parse("[A^3 / Gm^2] - BGL(2) * Gm"), parse("[P^2 / GL(2) * Gm]^2")]
+    for e in exprs:
+        n, d = _degree_bounds(e)
+        value = eval_class(e)
+        assert value.num.degree <= n and value.den.degree <= d, render(e)
 
 
 def test_eval_ring_morphism_on_nodes():
