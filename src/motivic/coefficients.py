@@ -7,6 +7,9 @@ the block-torus lattice.  The defining Mobius-weighted sum over that
 lattice is the oracle the tests compare this path with.  The two
 recursions and the consistency identity are independent formulas, so
 agreement between them is a genuine cross-check rather than a tautology.
+Consistency is checked through the block-size-type terms of BGL(m)
+(bgl_type_terms); the same sum over every set partition lives on as the
+projection of the point-stack model (stackcalc.upsilon_pi_mu).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .errors import InternalInvariant, NotComparable, TooLarge
-from .groups import GeneralLinear, SetPartition, enumerate_partitions, upsilon_group
+from .groups import GeneralLinear, SetPartition, upsilon_group
 from .ratfield import Polynomial, RatFunc, in_lambda_circ, pi_eval
 
 __all__ = [
@@ -28,6 +31,7 @@ __all__ = [
     "e_recursion_residual",
     "f_recursion_residual",
     "consistency_residual",
+    "bgl_type_terms",
     "m_big_coeff",
     "compositions",
 ]
@@ -95,6 +99,21 @@ def e_coeff_gl(m, q):
 def scalar_e(m):
     """E(m): the coefficient of the scalar torus in GL(m)."""
     return e_coeff_gl(m, SetPartition.one_block(m))
+
+
+def bgl_type_terms(m):
+    """The torus-basis terms of BGL(m), one per block-size type.
+
+    The sum over block tori Q of E(GL(m), Q) * [G_m^blocks(Q)], with the
+    block tori of type lambda (an integer partition of m) taken together:
+    they share one E and together give the pair
+    (len(lambda), type_weight(lambda) * prod_i E(lambda_i)).
+    """
+    for sizes in integer_partitions(m):
+        coeff = RatFunc.from_fraction(type_weight(sizes))
+        for k in sizes:
+            coeff = coeff * scalar_e(k)
+        yield len(sizes), coeff
 
 
 def f_coeff_gl(m, q):
@@ -195,14 +214,14 @@ def f_recursion_residual(m, table):
 
 def consistency_residual(m):
     """1/Upsilon(GL(m)) minus the sum over block tori Q of
-    E(GL(m), Q)/Upsilon(Q); identically zero."""
+    E(GL(m), Q)/Upsilon(Q), summed by block-size type; identically zero."""
     if m < 1:
         raise ValueError("m must be positive")
     if m > CONSISTENCY_GUARD:
         raise TooLarge("consistency residual guarded at m <= %d" % CONSISTENCY_GUARD)
     total = RatFunc.zero()
-    for q in enumerate_partitions(m):
-        total = total + e_coeff_gl(m, q) / (L - 1) ** q.n_blocks
+    for rank, coeff in bgl_type_terms(m):
+        total = total + coeff / (L - 1) ** rank
     return RatFunc.one() / upsilon_group(GeneralLinear(m)) - total
 
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import e_coeff_gl, integer_partitions, scalar_e, type_weight
+from .coefficients import bgl_type_terms, e_coeff_gl
 from .errors import NotAbelian, PoleAtOne, TooLarge
-from .groups import GeneralLinear, Torus, q_lattice_gl
+from .groups import GeneralLinear, Torus, enumerate_partitions, partition_to_subgroup
 from .ratfield import RatFunc, canonical_str, in_lambda_circ, pi_eval
 from .subgroups import AbelianGroupClass, TorusSubgroup, poset_close
 
@@ -270,20 +270,15 @@ def pi_mu_lbar(mu, x):
 
 def abelianize_bgl(m):
     """Class of the point stack with GL(m) automorphisms, written in the
-    torus basis: sum over block tori Q of E(GL(m), Q) * [G_m^blocks].
-    The block tori with block sizes lambda share one E and together add
-    type_weight(lambda) * prod_i E(lambda_i) to [G_m^len(lambda)]."""
+    torus basis: sum over block tori Q of E(GL(m), Q) * [G_m^blocks],
+    collected by block-size type (bgl_type_terms)."""
     if m < 1:
         raise ValueError("m must be positive")
     if m > ABELIANIZE_GUARD:
         raise TooLarge("abelianization guarded at m <= %d" % ABELIANIZE_GUARD)
-    terms = []
-    for sizes in integer_partitions(m):
-        coeff = RatFunc.from_fraction(type_weight(sizes))
-        for k in sizes:
-            coeff = coeff * scalar_e(k)
-        terms.append((AbelianGroupClass(len(sizes)), coeff))
-    return LambdaBarElem(terms)
+    return LambdaBarElem(
+        (AbelianGroupClass(rank), coeff) for rank, coeff in bgl_type_terms(m)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -360,31 +355,28 @@ def pi_re_n(x, n):
 def upsilon_pi_mu(x, mu):
     """Scalar class of the weighted projection of the quotient stack.
 
-    Double sum over realized stabilizers P' and block tori Q' of
+    Double sum over block tori Q' and realized stabilizers P' of
       class(P') * mu(P' meet Q') * E(GL(m), Q') / Upsilon(Q'),
-    with the torus case collapsing to the single Q' = full torus term.
+    with Upsilon(Q') = (l - 1)^rank(Q').  A torus model has the single
+    block torus Q' = full torus with E = 1.
     """
     m = x.ambient_rank
     if isinstance(x.group, GeneralLinear):
         if m > MODEL_GL_GUARD:
             raise TooLarge("GL models guarded at rank <= %d" % MODEL_GL_GUARD)
-        lat = q_lattice_gl(m)
-        total = RatFunc.zero()
-        for q, sub_q in zip(lat.partitions, lat.elements):
-            e_q = e_coeff_gl(m, q)
-            if e_q.is_zero():
-                continue
-            ups_q = (L - 1) ** q.n_blocks
-            for stab, cls in x.strata:
-                w = mu.evaluate(stab.intersect(sub_q).iso_class())
-                if w:
-                    total = total + cls * RatFunc.from_fraction(w) * e_q / ups_q
-        return total
-    if m > MODEL_TORUS_GUARD:
-        raise TooLarge("torus models guarded at rank <= %d" % MODEL_TORUS_GUARD)
+        blocks = [
+            (partition_to_subgroup(q), e_coeff_gl(m, q), q.n_blocks)
+            for q in enumerate_partitions(m)
+        ]
+    else:
+        if m > MODEL_TORUS_GUARD:
+            raise TooLarge("torus models guarded at rank <= %d" % MODEL_TORUS_GUARD)
+        blocks = [(TorusSubgroup.full_torus(m), RatFunc.one(), m)]
     total = RatFunc.zero()
-    for stab, cls in x.strata:
-        w = mu.evaluate(stab.iso_class())
-        if w:
-            total = total + cls * RatFunc.from_fraction(w)
-    return total / (L - 1) ** m
+    for sub_q, e_q, rank in blocks:
+        e_over_ups = e_q / (L - 1) ** rank
+        for stab, cls in x.strata:
+            w = mu.evaluate(stab.intersect(sub_q).iso_class())
+            if w:
+                total = total + cls * RatFunc.from_fraction(w) * e_over_ups
+    return total

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
+from operator import index
 
 import numpy as np
 
@@ -48,8 +49,10 @@ def hnf(mat):
 
     Pivots are positive, entries above a pivot are reduced into
     [0, pivot), zero rows are dropped.  The row span over Z is preserved.
+    Entries convert with operator.index, so a non-integral one raises
+    TypeError instead of being truncated.
     """
-    rows = [list(map(int, r)) for r in mat]
+    rows = [list(map(index, r)) for r in mat]
     if not rows:
         return ()
     ncols = len(rows[0])
@@ -82,63 +85,35 @@ def hnf(mat):
 
 def snf_divisors(mat):
     """Elementary divisors of an integer matrix (Smith normal form diagonal,
-    zeros excluded), each dividing the next."""
-    rows = [list(map(int, r)) for r in mat]
-    if not rows or not rows[0]:
-        return []
-    n, m = len(rows), len(rows[0])
-    a = rows
-    divisors = []
-    top = 0
-    while top < n and top < m:
-        # find a nonzero entry to pivot on
-        piv = None
-        for i in range(top, n):
-            for j in range(top, m):
-                if a[i][j] != 0:
-                    if piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[top], a[i0] = a[i0], a[top]
-        for row in a:
-            row[top], row[j0] = row[j0], row[top]
-        # clear row and column; restart if a division leaves a remainder
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(top + 1, n):
-                if a[i][top] != 0:
-                    q = a[i][top] // a[top][top]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-                    if a[i][top] != 0:
-                        a[top], a[i] = a[i], a[top]
-                        dirty = True
-            for j in range(top + 1, m):
-                if a[top][j] != 0:
-                    q = a[top][j] // a[top][top]
-                    for row in a:
-                        row[j] -= q * row[top]
-                    if a[top][j] != 0:
-                        for row in a:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-        divisors.append(abs(a[top][top]))
-        top += 1
-    divisors = [d for d in divisors if d != 0]
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(divisors)):
-            for j in range(i + 1, len(divisors)):
-                x, y = divisors[i], divisors[j]
-                if y % x != 0:
-                    g = gcd(x, y)
-                    divisors[i], divisors[j] = g, x * y // g
-                    changed = True
-    return sorted(divisors)
+    zeros excluded), each dividing the next.
+
+    Row HNF of the matrix and of its transpose alternate until every row
+    holds a single entry, its positive pivot.  The loop ends: the top-left
+    pivot of a pass divides the one before it, so it never grows, and once
+    it stops shrinking it divides its whole row, so the next pass clears
+    its row and column and they stay clear; the pivots below it follow in
+    turn.  A diagonal form need not be a divisibility chain, so the
+    pivots go through _divisor_chain.
+    """
+    rows = hnf(mat)
+    while any(sum(1 for v in r if v) > 1 for r in rows):
+        rows = hnf(list(zip(*rows)))
+    return _divisor_chain([max(r) for r in rows])
+
+
+def _divisor_chain(divisors):
+    """Invariant factors of the diagonal matrix with these positive entries:
+    a chain with the same product, each dividing the next.
+
+    Once entry i has met every later entry it is their gcd with it, and the
+    later entries stay multiples of it, so one pass gives the chain.
+    """
+    d = list(divisors)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d
 
 
 def _pivot_cols(rows):
@@ -184,10 +159,10 @@ class AbelianGroupClass:
     def __post_init__(self):
         if self.torus_rank < 0:
             raise ValueError("negative torus rank")
-        tors = tuple(int(t) for t in self.torsion)
+        tors = tuple(map(index, self.torsion))
         if any(t < 2 for t in tors):
             raise ValueError("torsion invariants must be >= 2")
-        chain = tuple(d for d in snf_divisors([[t if i == j else 0 for j in range(len(tors))] for i, t in enumerate(tors)]) if d > 1)
+        chain = tuple(d for d in _divisor_chain(tors) if d > 1)
         object.__setattr__(self, "torsion", chain)
 
     def torsion_order(self):

@@ -143,6 +143,16 @@ def test_check_reports_instances(capsys):
     assert out == "m-vanishing: 200 instances, 0 failures\n"
 
 
+def test_check_default_bound_fits_the_suite(capsys):
+    # without --max a suite runs at 4, or at its limit when that is smaller
+    code, out, _ = run_cli(capsys, "check", "model-pi1", "--json")
+    assert code == 0
+    assert json.loads(out)["max"] == 3
+    code, out, _ = run_cli(capsys, "check", "consistency", "--json")
+    assert code == 0
+    assert json.loads(out)["max"] == 4
+
+
 def test_check_refuses_bounds_above_suite_limit(capsys):
     limits = {
         "eff-recursion": 6,

@@ -25,7 +25,8 @@ from motivic.groups import (
     upsilon_group,
 )
 from motivic.ratfield import ELL, ONE, RatFunc, ZERO, in_lambda_circ
-from motivic.stackcalc import abelianize_bgl
+from motivic.models import gl3_flag_model
+from motivic.stackcalc import WeightFn, abelianize_bgl, upsilon_pi_mu
 from motivic.subgroups import TorusSubgroup, poset_close
 
 L = ELL
@@ -105,6 +106,7 @@ def test_coefficient_layer_builds_no_lattice():
     ECoeffTable.build(7)
     abelianize_bgl(6)
     consistency_residual(4)
+    upsilon_pi_mu(gl3_flag_model(), WeightFn.const_one())
     assert q_lattice_gl.cache_info().currsize == 0
 
 

@@ -16,6 +16,7 @@ from motivic.models import (
 )
 from motivic.ratfield import ELL, ONE, RatFunc, ZERO
 from motivic.stackcalc import (
+    MODEL_GL_GUARD,
     LambdaBarElem,
     OmegaBarElem,
     StratifiedModel,
@@ -252,8 +253,9 @@ def test_random_gl_models_const_one_is_class_ratio():
 def test_point_stack_model_matches_abelianization():
     # the single-point model with full-torus stabilizer realizes the point
     # stack; rank projections must agree with the torus-basis expansion
-    # evaluated classwise through [pt over a rank-k torus] = 1/(l-1)^k
-    for m in (2, 3):
+    # evaluated classwise through [pt over a rank-k torus] = 1/(l-1)^k; this
+    # ties the projection's set-partition sum to the block-size-type terms
+    for m in range(1, MODEL_GL_GUARD + 1):
         model = StratifiedModel(
             m, GeneralLinear(m), ((TorusSubgroup.full_torus(m), ONE),)
         )

@@ -1,6 +1,9 @@
 import random
+import time
+from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
 from motivic.errors import AmbientMismatch, NotComparable, NotInPoset, TooLarge
@@ -99,20 +102,51 @@ def _det(a):
     return det
 
 
-def test_snf_against_determinantal_divisors():
+def _check_determinantal(mat, divs):
     # d_1 ... d_k equals the gcd of all k x k minors
+    prod = 1
+    for k, d in enumerate(divs, start=1):
+        prod *= d
+        assert prod == _minor_gcd(mat, k), (mat, divs)
+    if len(divs) < min(len(mat), len(mat[0])):
+        assert _minor_gcd(mat, len(divs) + 1) == 0
+
+
+def test_snf_against_determinantal_divisors():
     rng = random.Random(19)
     for _ in range(60):
         n = rng.randint(1, 3)
         m = rng.randint(1, 4)
         mat = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
-        divs = snf_divisors(mat)
-        prod = 1
-        for k, d in enumerate(divs, start=1):
-            prod *= d
-            assert prod == _minor_gcd(mat, k), (mat, divs)
-        if len(divs) < min(n, m):
-            assert _minor_gcd(mat, len(divs) + 1) == 0
+        _check_determinantal(mat, snf_divisors(mat))
+
+
+def test_snf_of_raw_matrices_is_fast():
+    # raw (non-HNF) 3 x 6 matrices with large entries, inside a time budget
+    rng = random.Random(23)
+    mats = [
+        [[rng.randint(-10**4, 10**4) for _ in range(6)] for _ in range(3)]
+        for _ in range(40)
+    ]
+    start = time.perf_counter()
+    all_divs = [snf_divisors(mat) for mat in mats]
+    assert time.perf_counter() - start < 2.0
+    for mat, divs in zip(mats, all_divs):
+        _check_determinantal(mat, divs)
+
+
+def test_non_integral_entries_are_refused():
+    with pytest.raises(TypeError):
+        TorusSubgroup(2, ((1.5, 0),))
+    with pytest.raises(TypeError):
+        TorusSubgroup(2, ((Fraction(1, 2), 1),))
+    with pytest.raises(TypeError):
+        AbelianGroupClass(1, (2.9,))
+    with pytest.raises(TypeError):
+        snf_divisors([[0.5, 3]])
+    # ints, bools and numpy integers still convert
+    assert TorusSubgroup(2, ((np.int64(2), True),)) == TorusSubgroup(2, ((2, 1),))
+    assert AbelianGroupClass(1, (np.int32(4),)) == AbelianGroupClass(1, (4,))
 
 
 def test_hnf_invariant_under_unimodular_row_ops():
