@@ -1,15 +1,15 @@
 """The rational-function coefficients attached to GL(m) block tori.
 
-Production path: the scalar coefficient E(m) is a closed sum over the
-integer partitions of m, and every other block-torus coefficient is the
-product form (1/m!) * prod over blocks of |b|! * E(|b|).  Neither builds
-the block-torus lattice.  The defining Mobius-weighted sum over that
-lattice is the oracle the tests compare this path with.  The two
-recursions and the consistency identity are independent formulas, so
-agreement between them is a genuine cross-check rather than a tautology.
-Consistency is checked through the block-size-type terms of BGL(m)
-(bgl_type_terms); the same sum over every set partition lives on as the
-projection of the point-stack model (stackcalc.upsilon_pi_mu).
+Production path: E(m), the scalar coefficient, is the x^m coefficient of
+(l - 1) * log G, G(x) = sum_n x^n / Upsilon(GL(n)), by the log recurrence;
+every other block-torus coefficient is the product form (1/m!) * prod over
+blocks of |b|! * E(|b|).  Neither builds the block-torus lattice; the
+defining Mobius-weighted sum over it is the test oracle.  Consistency is
+E = (l - 1) * log G itself, so it checks the block-size-type products
+(bgl_type_terms) against the recurrence; the E recursion (both sides exp
+coefficients) and the Mobius oracle check E independently.  The same sum
+over every set partition lives on as the point-stack model's projection
+(stackcalc.upsilon_pi_mu).
 """
 
 from __future__ import annotations
@@ -33,16 +33,17 @@ __all__ = [
     "consistency_residual",
     "bgl_type_terms",
     "m_big_coeff",
-    "compositions",
 ]
 
 E_GUARD = 7  # eff-table --max 8 is a documented refusal, pinned by tests and bench goldens
-RECURSION_GUARD = 8  # 2^m ordered compositions on the left side
+RECURSION_GUARD = 8  # residual level; the table bound m + 1 <= E_GUARD binds first
 CONSISTENCY_GUARD = 6
 
 L = RatFunc.ell()
 
 
+# No caller is left, but bench/tracer.py reads its cache_info(); it goes
+# with the next benchmark change (ROADMAP direction 1).
 @lru_cache(maxsize=None)
 def _upsilon_gl_blocks(sizes):
     acc = RatFunc.one()
@@ -51,10 +52,14 @@ def _upsilon_gl_blocks(sizes):
     return acc
 
 
-def integer_partitions(m):
-    """Block-size types of the set partitions of {1..m}: the compositions
-    of m with nondecreasing parts."""
-    return [c for c in compositions(m) if list(c) == sorted(c)]
+def integer_partitions(m, largest=None):
+    """Block-size types of the set partitions of {1..m}: the partitions of
+    m as nonincreasing tuples, with no part above largest."""
+    if m == 0:
+        yield ()
+    for first in range(min(m, largest or m), 0, -1):
+        for rest in integer_partitions(m - first, first):
+            yield (first,) + rest
 
 
 def type_weight(sizes):
@@ -70,8 +75,9 @@ def e_coeff_gl(m, q):
     By definition Upsilon(Q) times the sum, over block tori Q' containing
     Q, of mu(Q, Q') / (WeylIndex(Q') * Upsilon(C(Q'))).  Above the scalar
     torus (one block) the block tori form a partition lattice with
-    mu = (-1)^(k-1) (k-1)! on a Q' of k blocks, so grouping the Q' by block
-    sizes gives E(m) as a sum over the integer partitions of m.  Any other
+    mu = (-1)^(k-1) (k-1)! on a Q' of k blocks, and that sum, grouped by
+    block sizes, is the multinomial expansion of the x^m coefficient of
+    (l - 1) * log G, which the log recurrence gives in O(m^2).  Any other
     Q gets the product form (1/m!) * prod over blocks of |b|! * E(|b|).
     """
     if not isinstance(q, SetPartition) or q.m != m:
@@ -80,11 +86,9 @@ def e_coeff_gl(m, q):
         raise TooLarge("E coefficients guarded at m <= %d" % E_GUARD)
     if q.n_blocks == 1:
         acc = RatFunc.zero()
-        for sizes in integer_partitions(m):
-            k = len(sizes)
-            scalar = (-1) ** (k - 1) * factorial(k - 1) * type_weight(sizes)
-            acc = acc + RatFunc.from_fraction(scalar) / _upsilon_gl_blocks(sizes)
-        result = (L - 1) * acc
+        for k in range(1, m):
+            acc = acc + k * scalar_e(k) / upsilon_group(GeneralLinear(m - k))
+        result = (L - 1) / upsilon_group(GeneralLinear(m)) - acc / m
     else:
         result = RatFunc.from_fraction(Fraction(1, factorial(m)))
         for b in q.blocks:
@@ -124,7 +128,7 @@ def f_coeff_gl(m, q):
 
 @dataclass(frozen=True)
 class ECoeffTable:
-    """Scalar E(m) and F(m) for 1 <= m <= max_m, built from the closed form.
+    """Scalar E(m) and F(m) for 1 <= m <= max_m, built by the log recurrence.
 
     Construction re-checks the two stored invariants: every E(m) is regular
     at l = 1 and F(m) is its value there.
@@ -157,16 +161,6 @@ class ECoeffTable:
         return self.scalar_f[m - 1]
 
 
-def compositions(n):
-    """Ordered tuples of positive integers summing to n."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in compositions(n - first):
-            yield (first,) + rest
-
-
 def _ell_cyclotomic_like(k):
     # (l^k - 1)/(l - 1) = l^(k-1) + ... + 1
     return RatFunc(Polynomial((1,) * k))
@@ -181,35 +175,33 @@ def _check_level(m, table):
         raise ValueError("table must be populated through m + 1 = %d" % (m + 1))
 
 
-def _composition_sum(n, sign, w):
-    """Sum over compositions c of n of sign^len(c) / len(c)! * prod of w[k]
-    over the parts k of c."""
-    total = 0
-    for comp in compositions(n):
-        term = Fraction(sign ** len(comp), factorial(len(comp)))
-        for k in comp:
-            term = term * w[k]
-        total = total + term
-    return total
+def _exp_coeffs(a, n):
+    """c_0..c_n of exp(sum_k a[k] x^k), by c_0 = 1 and
+    j * c_j = sum over k of k * a[k] * c_(j-k); a[k] is RatFunc or Fraction."""
+    c = [1]
+    for j in range(1, n + 1):
+        c.append(sum(k * a[k] * c[j - k] for k in range(1, j + 1)) / j)
+    return c
 
 
 def e_recursion_residual(m, table):
     """Left minus right side of the E recursion at level m; must vanish.
 
-    Left: compositions of m+1 weighted by 1/n!.  Right: compositions of m
-    weighted by (-1)^n/n!, all times l^(-m); every factor carries
-    (l^k - 1)/(l - 1) * E(k).
+    With W = sum_k (l^k - 1)/(l - 1) * E(k) x^k, the left side is
+    [x^(m+1)] exp(W) and the right side l^(-m) * [x^m] exp(-W).
     """
     _check_level(m, table)
     w = {k: _ell_cyclotomic_like(k) * table.e(k) for k in range(1, m + 2)}
-    return _composition_sum(m + 1, 1, w) - _composition_sum(m, -1, w) / L**m
+    right = _exp_coeffs({k: -v for k, v in w.items()}, m)[m] / L**m
+    return _exp_coeffs(w, m + 1)[m + 1] - right
 
 
 def f_recursion_residual(m, table):
-    """Rational-number shadow of the E recursion; must vanish."""
+    """Rational-number shadow of the E recursion (weights k * F(k)); must vanish."""
     _check_level(m, table)
     w = {k: k * table.f(k) for k in range(1, m + 2)}
-    return _composition_sum(m + 1, 1, w) - _composition_sum(m, -1, w)
+    right = _exp_coeffs({k: -v for k, v in w.items()}, m)[m]
+    return _exp_coeffs(w, m + 1)[m + 1] - right
 
 
 def consistency_residual(m):

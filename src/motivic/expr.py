@@ -131,11 +131,14 @@ def _tokenize(text):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(("nat", int(text[i:j]), i))
+            # ASCII digit text without leading zeros, not an int: int() of
+            # the whole literal refuses past 4300 digits
+            digits = "".join(str(int(d)) for d in text[i:j]).lstrip("0") or "0"
+            tokens.append(("nat", digits, i))
             i = j
             continue
         for kw in _KEYWORDS:
@@ -196,10 +199,10 @@ class _Parser:
     def nat(self, maximum, what):
         if self.peek()[0] != "nat":
             self.fail({"number"})
-        kind, value, pos = self.next()
-        if value > maximum:
-            raise GuardError("%s %d exceeds the supported bound %d" % (what, value, maximum))
-        return value
+        kind, digits, pos = self.next()
+        if len(digits) > len(str(maximum)) or int(digits) > maximum:
+            raise GuardError("%s %s exceeds the supported bound %d" % (what, digits, maximum))
+        return int(digits)
 
     # -- grammar
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
+from operator import index
 
 from .errors import TooLarge
 from .ratfield import Polynomial, RatFunc
@@ -52,7 +53,8 @@ class SetPartition:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(tuple(sorted(int(x) for x in b)) for b in self.blocks)
+        object.__setattr__(self, "m", index(self.m))
+        blocks = tuple(tuple(sorted(index(x) for x in b)) for b in self.blocks)
         blocks = tuple(sorted(blocks, key=lambda b: b[0]))
         seen = [x for b in blocks for x in b]
         if sorted(seen) != list(range(1, self.m + 1)):
@@ -145,6 +147,7 @@ class GeneralLinear(GroupDesc):
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "m", index(self.m))
         if self.m < 1:
             raise ValueError("GL rank must be >= 1")
 

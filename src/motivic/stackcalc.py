@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .coefficients import bgl_type_terms, e_coeff_gl
 from .errors import NotAbelian, PoleAtOne, TooLarge
@@ -205,7 +206,7 @@ class WeightFn:
         object.__setattr__(
             self,
             "rank_weights",
-            tuple(sorted((int(r), Fraction(v)) for r, v in self.rank_weights)),
+            tuple(sorted((index(r), Fraction(v)) for r, v in self.rank_weights)),
         )
         object.__setattr__(self, "default", Fraction(self.default))
 

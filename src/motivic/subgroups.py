@@ -157,6 +157,7 @@ class AbelianGroupClass:
     torsion: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "torus_rank", index(self.torus_rank))
         if self.torus_rank < 0:
             raise ValueError("negative torus rank")
         tors = tuple(map(index, self.torsion))
@@ -201,6 +202,7 @@ class TorusSubgroup:
     char_lattice: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "ambient_rank", index(self.ambient_rank))
         if self.ambient_rank < 1:
             raise ValueError("ambient rank must be positive")
         # check the raw rows: hnf drops zero rows, whatever their length

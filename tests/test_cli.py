@@ -186,6 +186,22 @@ def test_eval_deep_nesting_is_a_guard_error(capsys):
     assert err == ""
 
 
+def test_eval_overlong_literal_is_a_guard_error(capsys):
+    # int() refuses literals past 4,300 digits; the bound check must not
+    code, out, err = run_cli(capsys, "eval", "A^" + "9" * 5000, "--json")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "GuardError"
+    assert err == ""
+    # leading zeros do not count against the bound
+    code, out, _ = run_cli(capsys, "eval", "A^" + "0" * 5000 + "1")
+    assert (code, out) == (0, "l\n")
+    # a digit that is not a decimal one is a syntax error, not a crash
+    code, out, err = run_cli(capsys, "eval", "A^\u00b2", "--json")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ExprSyntaxError"
+    assert err == ""
+
+
 def test_check_unknown_suite_usage_error(capsys):
     code, _, _ = run_cli(capsys, "check", "no-such-suite")
     assert code == 2

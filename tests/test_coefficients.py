@@ -8,7 +8,7 @@ import pytest
 
 from motivic.coefficients import (
     ECoeffTable,
-    compositions,
+    _exp_coeffs,
     consistency_residual,
     e_coeff_gl,
     e_recursion_residual,
@@ -116,9 +116,40 @@ def test_lambda_circ_membership_all_partitions():
             assert in_lambda_circ(e_coeff_gl(m, q))
 
 
-def test_compositions():
-    assert sorted(compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
-    assert sum(1 for _ in compositions(6)) == 32
+def _compositions(n):
+    """Ordered tuples of positive integers summing to n."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def _composition_sum(n, sign, w):
+    """Oracle for _exp_coeffs: the sum over compositions c of n of
+    sign^len(c) / len(c)! * prod of w[k] over the parts k of c."""
+    total = 0
+    for comp in _compositions(n):
+        term = Fraction(sign ** len(comp), factorial(len(comp)))
+        for k in comp:
+            term = term * w[k]
+        total = total + term
+    return total
+
+
+def test_exp_coeffs_match_composition_sum():
+    assert sorted(_compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
+    assert sum(1 for _ in _compositions(6)) == 32
+    rng = random.Random(23)
+    for n in range(9):
+        for sign in (1, -1):
+            w = {k: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for k in range(1, n + 1)}
+            signed = {k: sign * v for k, v in w.items()}
+            assert _exp_coeffs(signed, n)[n] == _composition_sum(n, sign, w)
+    w = {k: (L**k - 1) / (L - 1) * e_coeff_gl(k, SetPartition.one_block(k)) for k in range(1, 6)}
+    assert _exp_coeffs(w, 5)[5] == _composition_sum(5, 1, w)
+    assert _exp_coeffs({k: -v for k, v in w.items()}, 5)[5] == _composition_sum(5, -1, w)
 
 
 def test_recursion_residuals_small():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from motivic.errors import AmbientMismatch, NotComparable, NotInPoset, TooLarge
-from motivic.groups import PartitionLattice
+from motivic.groups import GeneralLinear, PartitionLattice, SetPartition
+from motivic.stackcalc import WeightFn
 from motivic.subgroups import (
     AbelianGroupClass,
     TorusSubgroup,
@@ -147,6 +148,29 @@ def test_non_integral_entries_are_refused():
     # ints, bools and numpy integers still convert
     assert TorusSubgroup(2, ((np.int64(2), True),)) == TorusSubgroup(2, ((2, 1),))
     assert AbelianGroupClass(1, (np.int32(4),)) == AbelianGroupClass(1, (4,))
+
+
+def test_non_integral_ranks_are_refused():
+    with pytest.raises(TypeError):
+        AbelianGroupClass(1.5)
+    with pytest.raises(TypeError):
+        TorusSubgroup(2.5, ())
+    with pytest.raises(TypeError):
+        WeightFn(rank_weights=((1.5, 1),))
+    with pytest.raises(TypeError):
+        SetPartition(2, ((1.0,), (2.7,)))
+    with pytest.raises(TypeError):
+        GeneralLinear(2.5)
+    for bad in (Fraction(2), "2"):
+        with pytest.raises(TypeError):
+            AbelianGroupClass(bad)
+    # bools and numpy integers become plain ints
+    rank = AbelianGroupClass(np.int64(2)).torus_rank
+    assert type(rank) is int and rank == 2
+    assert type(GeneralLinear(np.int32(3)).m) is int
+    assert TorusSubgroup(True, ()) == TorusSubgroup(1, ())
+    assert WeightFn(rank_weights=((np.int64(1), 1),)) == WeightFn.virtual_rank(1)
+    assert SetPartition(2, ((np.int64(2), True),)) == SetPartition.one_block(2)
 
 
 def test_hnf_invariant_under_unimodular_row_ops():
