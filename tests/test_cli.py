@@ -187,7 +187,7 @@ def test_eval_deep_nesting_is_a_guard_error(capsys):
 
 
 def test_eval_overlong_literal_is_a_guard_error(capsys):
-    # int() refuses literals past 4,300 digits; the bound check must not
+    # int() refuses literals past 4,300 digits, so the bound is checked on the digit text
     code, out, err = run_cli(capsys, "eval", "A^" + "9" * 5000, "--json")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "GuardError"
