@@ -2,15 +2,14 @@
 
 Subcommands: eval, eff-table, abelianize, euler, check.  Exit codes:
 0 success, 1 evaluation or check failure, 2 usage, syntax or size-guard
-errors.  The only environment variable read is MOTIVIC_WIDTH, which caps
-the E column width of eff-table; it never affects any computed value.
+errors.  No environment variable is read, so the output depends only on
+the arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .coefficients import ECoeffTable
@@ -89,16 +88,10 @@ def _cmd_eff_table(args, out):
         print(json.dumps({"max": args.max, "rows": rows}), file=out)
         return 0
     width = max(len(r["E"]) for r in rows)
-    cap = os.environ.get("MOTIVIC_WIDTH")
-    if cap and cap.isdigit():
-        width = min(width, max(int(cap), 8))
     header = "%-3s %-*s %s" % ("m", width, "E(m)", "F(m)")
     print(header, file=out)
     for r in rows:
-        e_text = r["E"]
-        if len(e_text) > width:
-            e_text = e_text[: width - 3] + "..."
-        print("%-3d %-*s %s" % (r["m"], width, e_text, r["F"]), file=out)
+        print("%-3d %-*s %s" % (r["m"], width, r["E"], r["F"]), file=out)
     return 0
 
 

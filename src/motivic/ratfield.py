@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from operator import index
 
 from .errors import DivisionByZero, PoleAtOne
 
@@ -28,8 +29,10 @@ __all__ = [
 ]
 
 
-def _as_fraction(c):
-    return c if isinstance(c, Fraction) else Fraction(c)
+def exact_fraction(c):
+    """c as a Fraction: a Fraction is kept, anything else must be an
+    integer (operator.index), so floats and strings raise TypeError."""
+    return c if isinstance(c, Fraction) else Fraction(index(c))
 
 
 class Polynomial:
@@ -43,7 +46,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [exact_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -89,7 +92,10 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes like the number it equals
+        if self.degree > 0:
+            return hash(self.coeffs)
+        return hash(self.coeffs[0] if self.coeffs else 0)
 
     def __repr__(self):
         return "Polynomial(%r)" % (self.coeffs,)
@@ -127,7 +133,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = exact_fraction(other)
             return Polynomial(tuple(c * a for a in self.coeffs))
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -178,7 +184,7 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def eval_at(self, x):
-        x = _as_fraction(x)
+        x = exact_fraction(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -272,6 +278,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a polynomial hashes like its Polynomial, so a constant like its number
+        if self.den.degree == 0:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):
@@ -327,14 +336,11 @@ class RatFunc:
             if self.is_zero():
                 raise DivisionByZero("negative power of zero")
             return (RatFunc.one() / self) ** (-k)
-        result = RatFunc.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        # coprime num and monic den stay coprime and monic under powers
+        out = RatFunc.__new__(RatFunc)
+        out.num = self.num**k
+        out.den = self.den**k
+        return out
 
     def to_json(self):
         """JSON form: coefficient lists by ascending degree, as strings."""

@@ -20,7 +20,7 @@ from operator import index
 from .coefficients import bgl_type_terms, e_coeff_gl
 from .errors import NotAbelian, PoleAtOne, TooLarge
 from .groups import GeneralLinear, Torus, enumerate_partitions, partition_to_subgroup
-from .ratfield import RatFunc, canonical_str, in_lambda_circ, pi_eval
+from .ratfield import RatFunc, canonical_str, exact_fraction, in_lambda_circ, pi_eval
 from .subgroups import AbelianGroupClass, TorusSubgroup, poset_close
 
 __all__ = [
@@ -141,7 +141,7 @@ class LambdaBarElem(_BarElem):
     def _coerce(v):
         if isinstance(v, RatFunc):
             return v
-        return RatFunc.from_fraction(Fraction(v))
+        return RatFunc.from_fraction(exact_fraction(v))
 
 
 class OmegaBarElem(_BarElem):
@@ -151,7 +151,7 @@ class OmegaBarElem(_BarElem):
     def _coerce(v):
         if isinstance(v, RatFunc):
             return v.as_fraction()
-        return Fraction(v)
+        return exact_fraction(v)
 
 
 def lbar_mul(a, b):
@@ -201,14 +201,14 @@ class WeightFn:
         object.__setattr__(
             self,
             "class_overrides",
-            tuple(sorted((c, Fraction(v)) for c, v in self.class_overrides)),
+            tuple(sorted((c, exact_fraction(v)) for c, v in self.class_overrides)),
         )
         object.__setattr__(
             self,
             "rank_weights",
-            tuple(sorted((index(r), Fraction(v)) for r, v in self.rank_weights)),
+            tuple(sorted((index(r), exact_fraction(v)) for r, v in self.rank_weights)),
         )
-        object.__setattr__(self, "default", Fraction(self.default))
+        object.__setattr__(self, "default", exact_fraction(self.default))
 
     @classmethod
     def const_one(cls):
@@ -228,7 +228,7 @@ class WeightFn:
     def table(cls, mapping, default=0):
         return cls(
             class_overrides=tuple(mapping.items()) if isinstance(mapping, dict) else tuple(mapping),
-            default=Fraction(default),
+            default=default,
         )
 
     def _rank_value(self, rank):
@@ -320,7 +320,7 @@ class StratifiedModel:
                 raise ValueError("duplicate exact stabilizer %s" % (stab,))
             seen.add(stab)
             if not isinstance(cls, RatFunc):
-                cls = RatFunc.from_fraction(Fraction(cls))
+                cls = RatFunc.from_fraction(exact_fraction(cls))
             strata.append((stab, cls))
         object.__setattr__(self, "strata", tuple(strata))
 

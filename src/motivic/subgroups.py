@@ -455,6 +455,12 @@ def _order_key(e):
 def poset_close(seed, top):
     """Smallest intersection-closed family containing seed and top.
 
+    Every member is top met with a subset of the seeds, so starting from
+    {top}, each seed not yet a member is met with every member; after seed
+    j the family holds the meets over subsets of the first j seeds.  A pass
+    costs one intersection per member and adds at least one member, so n
+    members cost at most 1 + ... + (n-1) = C(n, 2) intersections.
+
     Elements are ordered deterministically (dimension, torsion order,
     lattice entries), so the resulting poset is reproducible.
     """
@@ -465,20 +471,11 @@ def poset_close(seed, top):
         if not top.contains(s):
             raise ValueError("top does not contain every seed element")
     family = {top}
-    items = [top]
     for s in seed:
         if s not in family:
-            family.add(s)
-            items.append(s)
-    # items grows while it is walked, so each unordered pair meets once
-    for i, a in enumerate(items):
-        for b in items[:i]:
-            c = a.intersect(b)
-            if c not in family:
-                family.add(c)
-                items.append(c)
+            family |= {f.intersect(s) for f in family}
 
-    ordered = sorted(items, key=_order_key)
+    ordered = sorted(family, key=_order_key)
     return SubgroupPoset(ordered, top)
 
 

@@ -86,15 +86,12 @@ def test_eff_table_json(capsys):
     assert rows[2]["E"] == "(-l - 2)/(2*l^2 + 2*l)"
 
 
-def test_eff_table_width_env(capsys, monkeypatch):
+def test_eff_table_ignores_env(capsys, monkeypatch):
+    # the text table depends only on the arguments, not on the environment
+    monkeypatch.delenv("MOTIVIC_WIDTH", raising=False)
+    plain = run_cli(capsys, "eff-table", "--max", "3")
     monkeypatch.setenv("MOTIVIC_WIDTH", "10")
-    code, out, _ = run_cli(capsys, "eff-table", "--max", "3")
-    assert code == 0
-    assert "..." in out
-    # the JSON view is unaffected by the width variable
-    code, out, _ = run_cli(capsys, "eff-table", "--max", "3", "--json")
-    data = json.loads(out)
-    assert data["rows"][1]["E"] == "(-l - 2)/(2*l^2 + 2*l)"
+    assert run_cli(capsys, "eff-table", "--max", "3") == plain
 
 
 def test_eff_table_guard(capsys):

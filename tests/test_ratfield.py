@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -140,3 +141,18 @@ def test_canonical_str_of_constant_is_fraction_str(q):
 def test_canonical_idempotent(a):
     assert RatFunc(a.num, a.den) == a
     assert a.den.leading == 1
+
+
+def test_power_matches_repeated_product():
+    rng = random.Random(17)
+    for _ in range(30):
+        num = Polynomial([rng.randint(-4, 4) for _ in range(rng.randint(0, 4))])
+        den = Polynomial([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]) or Polynomial.one()
+        f = RatFunc(num, den)
+        product = ONE
+        for k in range(7):
+            # f**k skips the constructor, so == also checks its canonical form
+            assert f**k == product
+            if f:
+                assert f ** (-k) == ONE / product
+            product = product * f

@@ -36,7 +36,6 @@ TRANSCRIPTS = _transcripts()
 
 
 @pytest.mark.parametrize("argv,expected", TRANSCRIPTS, ids=[" ".join(a) for a, _ in TRANSCRIPTS])
-def test_cli_transcript(argv, expected, capsys, monkeypatch):
-    monkeypatch.delenv("MOTIVIC_WIDTH", raising=False)
+def test_cli_transcript(argv, expected, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected

@@ -14,7 +14,7 @@ from motivic.models import (
     torus_plane_model,
     torus_weighted_line_model,
 )
-from motivic.ratfield import ELL, ONE, RatFunc, ZERO
+from motivic.ratfield import ELL, ONE, Polynomial, RatFunc, ZERO
 from motivic.stackcalc import (
     MODEL_GL_GUARD,
     LambdaBarElem,
@@ -324,3 +324,29 @@ def test_bar_elem_json():
     assert data[0]["class"] == {"rank": 2, "torsion": []}
     assert data[0]["coeff"] == "1/2"
     assert data[1]["coeff"] == "(-l - 2)/(2*l^2 + 2*l)"
+
+
+def test_values_are_exact_and_constants_hash_like_numbers():
+    # floats and strings are refused wherever a Q(l) value is built
+    refused = [
+        lambda: RatFunc(0.1),
+        lambda: RatFunc("1/3"),
+        lambda: Polynomial((1, 0.5)),
+        lambda: LambdaBarElem.term(GM, 0.1),
+        lambda: OmegaBarElem.term(GM, 0.1),
+        lambda: WeightFn.table({GM: 0.1}),
+        lambda: WeightFn(default="1/2"),
+        lambda: WeightFn(rank_weights=((1, 0.5),)),
+        lambda: StratifiedModel(1, GeneralLinear(1), ((TorusSubgroup.full_torus(1), 0.5),)),
+    ]
+    for build in refused:
+        with pytest.raises(TypeError):
+            build()
+    # the JSON form still parses its coefficient strings
+    assert RatFunc.from_json({"num": ["1/3"], "den": ["1"]}) == Fraction(1, 3)
+    # a constant equals its number and hashes like it
+    for q in (0, 3, -2, Fraction(1, 2)):
+        for v in (RatFunc(q), Polynomial((q,))):
+            assert v == q and hash(v) == hash(q)
+            assert len({q, v}) == 1
+    assert len({Polynomial((0, 1)), RatFunc(Polynomial((0, 1)))}) == 1

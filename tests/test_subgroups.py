@@ -18,6 +18,7 @@ from motivic.subgroups import (
     intersect,
     iso_class,
     mobius,
+    _order_key,
     poset_close,
     snf_divisors,
 )
@@ -258,6 +259,59 @@ def test_poset_close_examples():
     assert block_torus(3, [1, 2, 3]) in p
     again = poset_close(list(p.elements), top)
     assert set(again.elements) == set(p.elements)
+
+
+def random_row(rng, m):
+    return tuple(rng.randint(-2, 2) for _ in range(m))
+
+
+def _pairwise_close(seed, top):
+    """Oracle for poset_close: intersect every unordered pair of members of
+    a list that grows as new intersections are appended, then sort."""
+    family = {top}
+    items = [top]
+    for s in seed:
+        if s not in family:
+            family.add(s)
+            items.append(s)
+    for i, a in enumerate(items):
+        for b in items[:i]:
+            c = a.intersect(b)
+            if c not in family:
+                family.add(c)
+                items.append(c)
+    return sorted(items, key=_order_key)
+
+
+def test_poset_close_matches_pairwise_oracle():
+    rng = random.Random(29)
+    for _ in range(40):
+        m = rng.randint(2, 6)
+        seeds = [
+            TorusSubgroup(m, tuple(random_row(rng, m) for _ in range(rng.randint(1, 2))))
+            for _ in range(rng.randint(1, 7))
+        ]
+        top = TorusSubgroup.full_torus(m)
+        assert list(poset_close(seeds, top).elements) == _pairwise_close(seeds, top)
+
+
+def test_poset_close_intersections_per_seed(monkeypatch):
+    # seven generic one-row seeds in rank 6: every subset has its own meet
+    rng = random.Random(31)
+    seeds = [TorusSubgroup(6, (random_row(rng, 6),)) for _ in range(7)]
+    calls = []
+    intersect_method = TorusSubgroup.intersect
+
+    def counted(self, other):
+        calls.append(1)
+        return intersect_method(self, other)
+
+    monkeypatch.setattr(TorusSubgroup, "intersect", counted)
+    p = poset_close(seeds, TorusSubgroup.full_torus(6))
+    assert len(p) == 128
+    # one pass per distinct seed, one intersection per member: 127 here,
+    # against C(128, 2) = 8128 for the all-pairs walk
+    assert len(calls) <= len(set(seeds)) * len(p)
 
 
 def test_poset_validation():
