@@ -360,10 +360,7 @@ def set_partitions(m):
 
 
 def random_subgroup(rng, m):
-    rows = [
-        tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(rng.randint(0, m))
-    ]
-    return TorusSubgroup(m, tuple(rows))
+    return TorusSubgroup(m, tuple(random_row(rng, m) for _ in range(rng.randint(0, m))))
 
 
 def test_partition_lattice_corner_values():
