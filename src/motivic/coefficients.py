@@ -90,7 +90,7 @@ def e_coeff_gl(m, q):
             acc = acc + k * scalar_e(k) / upsilon_group(GeneralLinear(m - k))
         result = (L - 1) / upsilon_group(GeneralLinear(m)) - acc / m
     else:
-        result = RatFunc.from_fraction(Fraction(1, factorial(m)))
+        result = RatFunc(Fraction(1, factorial(m)))
         for b in q.blocks:
             result = result * factorial(len(b)) * scalar_e(len(b))
     if not in_lambda_circ(result):
@@ -114,7 +114,7 @@ def bgl_type_terms(m):
     (len(lambda), type_weight(lambda) * prod_i E(lambda_i)).
     """
     for sizes in integer_partitions(m):
-        coeff = RatFunc.from_fraction(type_weight(sizes))
+        coeff = RatFunc(type_weight(sizes))
         for k in sizes:
             coeff = coeff * scalar_e(k)
         yield len(sizes), coeff

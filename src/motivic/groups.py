@@ -25,6 +25,8 @@ __all__ = [
     "Torus",
     "GeneralLinear",
     "Product",
+    "product",
+    "torus",
     "upsilon_group",
     "group_rank",
     "enumerate_partitions",
@@ -211,7 +213,7 @@ def upsilon_group(g):
     standard product of l-power and (l^k - 1) factors."""
     if isinstance(g, Torus):
         order = g.cls.torsion_order()
-        return RatFunc.from_fraction(order) * (RatFunc.ell() - 1) ** g.cls.torus_rank
+        return RatFunc(order) * (RatFunc.ell() - 1) ** g.cls.torus_rank
     if isinstance(g, GeneralLinear):
         m = g.m
         acc = RatFunc(Polynomial.monomial(m * (m - 1) // 2))
@@ -263,9 +265,12 @@ class PartitionLattice(SubgroupPoset):
     Block tori are closed under intersection (intersecting imposes the
     union of the equalities, which is the common coarsening), so the
     family is a valid SubgroupPoset without an explicit closure pass.
+    Ranks above Q_LATTICE_GUARD are refused before any enumeration.
     """
 
     def __init__(self, m):
+        if m > Q_LATTICE_GUARD:
+            raise TooLarge("block-torus lattice guarded at m <= %d" % Q_LATTICE_GUARD)
         parts = enumerate_partitions(m)
         elements = [partition_to_subgroup(p) for p in parts]
         super().__init__(elements, TorusSubgroup.full_torus(m))
@@ -276,10 +281,6 @@ class PartitionLattice(SubgroupPoset):
 @lru_cache(maxsize=None)
 def q_lattice_gl(m):
     """Poset of all block tori of GL(m); containment order, top = full torus."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if m > Q_LATTICE_GUARD:
-        raise TooLarge("block-torus lattice guarded at m <= %d" % Q_LATTICE_GUARD)
     return PartitionLattice(m)
 
 

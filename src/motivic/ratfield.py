@@ -52,10 +52,6 @@ class Polynomial:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
     def one(cls):
         return cls((1,))
 
@@ -64,8 +60,8 @@ class Polynomial:
         return cls((0, 1))
 
     @classmethod
-    def monomial(cls, k, c=1):
-        return cls((0,) * k + (c,))
+    def monomial(cls, k):
+        return cls((0,) * k + (1,))
 
     @property
     def degree(self):
@@ -101,7 +97,7 @@ class Polynomial:
         return "Polynomial(%r)" % (self.coeffs,)
 
     def __str__(self):
-        return _poly_str(self.coeffs, _var_monomial("l"))
+        return _poly_str(self.coeffs, _l_monomial)
 
     def __neg__(self):
         return Polynomial(tuple(-c for c in self.coeffs))
@@ -251,10 +247,6 @@ class RatFunc:
     def ell(cls):
         return cls(Polynomial.ell())
 
-    @classmethod
-    def from_fraction(cls, q):
-        return cls(Polynomial((q,)))
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -400,8 +392,8 @@ def _power(var, k):
     return var if k == 1 else "%s^%d" % (var, k)
 
 
-def _var_monomial(var):
-    return lambda k: _power(var, k)
+def _l_monomial(k):
+    return _power("l", k)
 
 
 def _poly_str(coeffs, monomial):
@@ -470,11 +462,11 @@ def _ratio_str(f, monomial):
     return "%s/%s" % (num_s, den_s)
 
 
-def canonical_str(f, var="l"):
+def canonical_str(f):
     """Canonical text form num/den with integer coefficients, content 1 and
     the denominator a positive multiple of the stored monic one.  On a
     constant it agrees with str() of the Fraction."""
-    return _ratio_str(f, _var_monomial(var))
+    return _ratio_str(f, _l_monomial)
 
 
 # specialization target -> text of the image of l^k

@@ -106,10 +106,6 @@ class _BarElem:
     def __neg__(self):
         return type(self)({c: -v for c, v in self.terms.items()})
 
-    def scaled(self, factor):
-        factor = self._coerce(factor)
-        return type(self)({c: v * factor for c, v in self.terms.items()})
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -141,7 +137,7 @@ class LambdaBarElem(_BarElem):
     def _coerce(v):
         if isinstance(v, RatFunc):
             return v
-        return RatFunc.from_fraction(exact_fraction(v))
+        return RatFunc(exact_fraction(v))
 
 
 class OmegaBarElem(_BarElem):
@@ -320,7 +316,7 @@ class StratifiedModel:
                 raise ValueError("duplicate exact stabilizer %s" % (stab,))
             seen.add(stab)
             if not isinstance(cls, RatFunc):
-                cls = RatFunc.from_fraction(exact_fraction(cls))
+                cls = RatFunc(exact_fraction(cls))
             strata.append((stab, cls))
         object.__setattr__(self, "strata", tuple(strata))
 
@@ -379,5 +375,5 @@ def upsilon_pi_mu(x, mu):
         for stab, cls in x.strata:
             w = mu.evaluate(stab.intersect(sub_q).iso_class())
             if w:
-                total = total + cls * RatFunc.from_fraction(w) * e_over_ups
+                total = total + cls * RatFunc(w) * e_over_ups
     return total

@@ -29,12 +29,7 @@ __all__ = [
     "TorusSubgroup",
     "AbelianGroupClass",
     "SubgroupPoset",
-    "intersect",
-    "contains",
-    "iso_class",
     "poset_close",
-    "mobius",
-    "crosscut_coeff",
 ]
 
 CROSSCUT_GUARD = 20  # max down-set size for the literal subset sum
@@ -205,10 +200,11 @@ class TorusSubgroup:
         object.__setattr__(self, "ambient_rank", index(self.ambient_rank))
         if self.ambient_rank < 1:
             raise ValueError("ambient rank must be positive")
+        rows = tuple(self.char_lattice)  # read an iterable once
         # check the raw rows: hnf drops zero rows, whatever their length
-        if any(len(r) != self.ambient_rank for r in self.char_lattice):
+        if any(len(r) != self.ambient_rank for r in rows):
             raise ValueError("lattice row length differs from ambient rank")
-        rows = hnf(self.char_lattice)
+        rows = hnf(rows)
         if len(rows) > self.ambient_rank:
             raise ValueError("lattice rank exceeds ambient rank")
         object.__setattr__(self, "char_lattice", rows)
@@ -261,18 +257,6 @@ class TorusSubgroup:
 def _iso_class_cached(s):
     tors = tuple(d for d in snf_divisors(s.char_lattice) if d > 1)
     return AbelianGroupClass(s.dim, tors)
-
-
-def intersect(a, b):
-    return a.intersect(b)
-
-
-def contains(a, b):
-    return a.contains(b)
-
-
-def iso_class(a):
-    return a.iso_class()
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +335,12 @@ class SubgroupPoset:
 
     def _build_mobius(self, downs):
         """Mobius table column by column, in Python integers:
-        mu(b, b) = 1 and mu(a, b) = -sum of mu(a, c) over a <= c < b."""
+        mu(b, b) = 1 and mu(a, b) = -sum of mu(a, c) over a <= c < b.  The
+        columns go by down-set size, a linear extension of containment."""
         n = len(self.elements)
         mu = np.zeros((n, n), dtype=object)
         cols = [None] * n
-        for b in sorted(range(n), key=lambda i: _order_key(self.elements[i])):
+        for b in sorted(range(n), key=lambda i: len(downs[i])):
             col = {b: 1}
             for c in downs[b]:
                 if c != b:
@@ -464,6 +449,7 @@ def poset_close(seed, top):
     Elements are ordered deterministically (dimension, torsion order,
     lattice entries), so the resulting poset is reproducible.
     """
+    seed = tuple(seed)  # read an iterable once
     m = top.ambient_rank
     for s in seed:
         if s.ambient_rank != m:
@@ -477,11 +463,3 @@ def poset_close(seed, top):
 
     ordered = sorted(family, key=_order_key)
     return SubgroupPoset(ordered, top)
-
-
-def mobius(p, a, b):
-    return p.mobius(a, b)
-
-
-def crosscut_coeff(p, lower, upper):
-    return p.crosscut_coeff(lower, upper)

@@ -51,7 +51,7 @@ def test_scalar_f_values():
 
 def test_e_singletons_m2():
     # by hand: Upsilon(T) * (1/2) / Upsilon(T)
-    assert e_coeff_gl(2, SetPartition.singletons(2)) == RatFunc.from_fraction(
+    assert e_coeff_gl(2, SetPartition.singletons(2)) == RatFunc(
         Fraction(1, 2)
     )
 
@@ -77,7 +77,7 @@ def _mobius_e(m, q):
     for (sizes, mu), count in sorted(groups.items()):
         weyl = factorial(m) // prod(factorial(s) for s in sizes)
         ups = prod((upsilon_group(GeneralLinear(s)) for s in sizes), start=ONE)
-        acc = acc + RatFunc.from_fraction(Fraction(count * mu, weyl)) / ups
+        acc = acc + RatFunc(Fraction(count * mu, weyl)) / ups
     return (L - 1) ** q.n_blocks * acc
 
 
@@ -86,7 +86,7 @@ def test_product_formula_examples():
         3, SetPartition.one_block(3)
     )
     for e in (e_coeff_gl, _mobius_e):
-        assert e(2, SetPartition.singletons(2)) == RatFunc.from_fraction(Fraction(1, 2))
+        assert e(2, SetPartition.singletons(2)) == RatFunc(Fraction(1, 2))
         got = e(3, SetPartition(3, ((1, 2), (3,))))
         assert got == EXPECTED_E2 / 3
 

@@ -120,7 +120,7 @@ def test_eval_examples():
     assert eval_class(parse("BGL(1)")) == ONE / (L - 1)
     assert eval_class(parse("A^0")) == ONE
     assert eval_class(parse("P^0")) == ONE
-    assert eval_class(parse("pt + pt + pt")) == RatFunc.from_fraction(3)
+    assert eval_class(parse("pt + pt + pt")) == RatFunc(3)
     assert eval_class(parse("Gm^2")) == (L - 1) ** 2
 
 

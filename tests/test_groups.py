@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 from math import factorial
 
@@ -8,6 +9,7 @@ import pytest
 from motivic.errors import TooLarge
 from motivic.groups import (
     GeneralLinear,
+    PartitionLattice,
     SetPartition,
     bell_number,
     centralizer_gl,
@@ -21,7 +23,7 @@ from motivic.groups import (
     weyl_index_gl,
 )
 from motivic.ratfield import ELL, ONE, in_lambda_circ
-from motivic.subgroups import AbelianGroupClass, TorusSubgroup, iso_class
+from motivic.subgroups import AbelianGroupClass, TorusSubgroup
 
 L = ELL
 
@@ -64,11 +66,11 @@ def test_partitions_distinct_and_canonical():
 def test_partition_to_subgroup_examples():
     assert partition_to_subgroup(SetPartition.singletons(4)) == TorusSubgroup.full_torus(4)
     one = partition_to_subgroup(SetPartition.one_block(3))
-    assert iso_class(one) == AbelianGroupClass(1)
+    assert one.iso_class() == AbelianGroupClass(1)
     p = SetPartition(3, ((1, 2), (3,)))
     s = partition_to_subgroup(p)
     assert s.char_lattice == ((1, -1, 0),)
-    assert iso_class(s) == AbelianGroupClass(2)
+    assert s.iso_class() == AbelianGroupClass(2)
 
 
 def test_q_lattice_examples():
@@ -79,6 +81,15 @@ def test_q_lattice_examples():
     s12 = partition_to_subgroup(SetPartition(3, ((1, 2), (3,))))
     s123 = partition_to_subgroup(SetPartition.one_block(3))
     assert s12.contains(s123)
+    with pytest.raises(TooLarge):
+        q_lattice_gl(8)
+
+
+def test_partition_lattice_carries_the_guard():
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge):
+        PartitionLattice(8)
+    assert time.perf_counter() - t0 < 0.1
     with pytest.raises(TooLarge):
         q_lattice_gl(8)
 

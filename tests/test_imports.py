@@ -1,7 +1,12 @@
-"""Every imported name is used in the module that imports it."""
+"""Every imported name is used in the module that imports it, and the
+package namespace is exactly the public lists of its modules."""
 
 import ast
 from pathlib import Path
+from types import ModuleType
+
+import motivic
+from motivic import coefficients, errors, groups, ratfield, stackcalc, subgroups
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "motivic").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
@@ -44,3 +49,14 @@ def test_no_unused_imports():
         for line, name in unused_imports(ast.parse(path.read_text(), str(path))):
             found.append("%s:%d: %s" % (path.relative_to(ROOT), line, name))
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_package_namespace_is_the_module_lists():
+    expected = {n for n, v in vars(errors).items() if isinstance(v, type) and issubclass(v, Exception)}
+    for mod in (ratfield, subgroups, groups, coefficients, stackcalc):
+        expected.update(mod.__all__)
+    expected.update(("eval_class", "parse", "render"))
+    public = {
+        n for n, v in vars(motivic).items() if not n.startswith("_") and not isinstance(v, ModuleType)
+    }
+    assert public == expected
