@@ -13,6 +13,8 @@ from fractions import Fraction
 from math import factorial
 
 from .coefficients import (
+    CONSISTENCY_GUARD,
+    E_GUARD,
     ECoeffTable,
     consistency_residual,
     e_recursion_residual,
@@ -21,10 +23,10 @@ from .coefficients import (
 )
 from .errors import GuardError
 from .groups import (
-    GeneralLinear,
     SetPartition,
     partition_to_subgroup,
     q_lattice_gl,
+    torus,
     upsilon_group,
 )
 from .models import (
@@ -34,7 +36,7 @@ from .models import (
     torus_plane_model,
     torus_weighted_line_model,
 )
-from .ratfield import RatFunc
+from .ratfield import ONE, ZERO, RatFunc
 from .stackcalc import (
     LambdaBarElem,
     WeightFn,
@@ -47,10 +49,6 @@ from .stackcalc import (
 from .subgroups import AbelianGroupClass, TorusSubgroup, poset_close
 
 __all__ = ["CheckReport", "run_suite", "SUITES"]
-
-L = RatFunc.ell()
-ZERO = RatFunc.zero()
-ONE = RatFunc.one()
 
 
 @dataclass
@@ -221,19 +219,20 @@ def check_operator_algebra(n_random=500):
 def check_model_pi1(max_m=3):
     """Constant-weight projection equals the plain class ratio on models."""
     report = CheckReport("model-pi1")
-    gl_models = [("GL(2) flag model", gl2_flag_model(), 2)]
+    ratio_models = [("GL(2) flag model", gl2_flag_model())]
     if max_m >= 3:
-        gl_models.append(("GL(3) flag model", gl3_flag_model(), 3))
-        gl_models.append(("GL(3) free model", gl3_free_model(), 3))
-    for name, model, m in gl_models:
+        ratio_models.append(("GL(3) flag model", gl3_flag_model()))
+        ratio_models.append(("GL(3) free model", gl3_free_model()))
+    ratio_models.append(("weighted line model", torus_weighted_line_model()))
+    ratio_models.append(("coordinate plane model", torus_plane_model()))
+    for name, model in ratio_models:
         report.count()
         got = upsilon_pi_mu(model, WeightFn.const_one())
-        expected = model_total_upsilon(model) / upsilon_group(GeneralLinear(m))
-        if got != expected:
+        if got != model_total_upsilon(model) / upsilon_group(model.group):
             report.fail("%s: constant weight is not the class ratio" % name)
     pure = [
-        ("GL(2) flag model", gl2_flag_model(), 2, ONE / (L - 1) ** 2),
-        ("GL(3) flag model", gl3_flag_model(), 3, ONE / (L - 1) ** 3),
+        ("GL(2) flag model", gl2_flag_model(), 2, ONE / upsilon_group(torus(2))),
+        ("GL(3) flag model", gl3_flag_model(), 3, ONE / upsilon_group(torus(3))),
         ("GL(3) free model", gl3_free_model(), 0, ONE),
     ]
     for name, model, rank, expected in pure:
@@ -243,15 +242,6 @@ def check_model_pi1(max_m=3):
             want = expected if n == rank else ZERO
             if got != want:
                 report.fail("%s: virtual rank %d projection wrong" % (name, n))
-    for name, model in (
-        ("weighted line model", torus_weighted_line_model()),
-        ("coordinate plane model", torus_plane_model()),
-    ):
-        report.count()
-        m = model.ambient_rank
-        got = upsilon_pi_mu(model, WeightFn.const_one())
-        if got != model_total_upsilon(model) / (L - 1) ** m:
-            report.fail("%s: constant weight is not the class ratio" % name)
     return report
 
 
@@ -301,8 +291,8 @@ def check_m_vanishing(n_instances=200):
 # suite name -> (largest size bound, runner); a bound above the limit is
 # refused rather than clamped, so a report always covers the bound asked for
 SUITES = {
-    "eff-recursion": (6, check_eff_recursion),
-    "consistency": (6, check_consistency),
+    "eff-recursion": (E_GUARD - 1, check_eff_recursion),  # its table runs to max_m + 1
+    "consistency": (CONSISTENCY_GUARD, check_consistency),
     "mobius-crosscut": (4, lambda max_m: check_mobius_crosscut(max_m=max_m, n_random=25 * max_m)),
     "operator-algebra": (4, lambda max_m: check_operator_algebra(n_random=125 * max_m)),
     "model-pi1": (3, check_model_pi1),

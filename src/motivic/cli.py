@@ -57,7 +57,7 @@ def _build_parser():
     return ap
 
 
-def _cmd_eval(args, out):
+def _cmd_eval(args):
     ast = parse(args.expr)
     value = eval_class(ast)
     payload = {"input": args.expr, "class": value.to_json(), "text": canonical_str(value)}
@@ -66,17 +66,17 @@ def _cmd_eval(args, out):
     if args.poincare:
         payload["poincare"] = specialize(value, "poincare_z")
     if args.json:
-        print(json.dumps(payload), file=out)
+        print(json.dumps(payload))
     else:
-        print(payload["text"], file=out)
+        print(payload["text"])
         if args.at_one:
-            print("at l=1: %s" % payload["at_one"], file=out)
+            print("at l=1: %s" % payload["at_one"])
         if args.poincare:
-            print("poincare: %s" % payload["poincare"], file=out)
+            print("poincare: %s" % payload["poincare"])
     return 0
 
 
-def _cmd_eff_table(args, out):
+def _cmd_eff_table(args):
     if args.max < 1:
         raise GuardError("--max must be positive")
     table = ECoeffTable.build(args.max)
@@ -85,31 +85,31 @@ def _cmd_eff_table(args, out):
         for m in range(1, args.max + 1)
     ]
     if args.json:
-        print(json.dumps({"max": args.max, "rows": rows}), file=out)
+        print(json.dumps({"max": args.max, "rows": rows}))
         return 0
     width = max(len(r["E"]) for r in rows)
     header = "%-3s %-*s %s" % ("m", width, "E(m)", "F(m)")
-    print(header, file=out)
+    print(header)
     for r in rows:
-        print("%-3d %-*s %s" % (r["m"], width, r["E"], r["F"]), file=out)
+        print("%-3d %-*s %s" % (r["m"], width, r["E"], r["F"]))
     return 0
 
 
-def _cmd_abelianize(args, out):
+def _cmd_abelianize(args):
     if args.m < 1:
         raise GuardError("m must be positive")
-    print(str(abelianize_bgl(args.m)), file=out)
+    print(str(abelianize_bgl(args.m)))
     return 0
 
 
-def _cmd_euler(args, out):
+def _cmd_euler(args):
     if args.m < 1:
         raise GuardError("m must be positive")
-    print(str(gen_euler(abelianize_bgl(args.m))), file=out)
+    print(str(gen_euler(abelianize_bgl(args.m))))
     return 0
 
 
-def _cmd_check(args, out):
+def _cmd_check(args):
     bound = args.max if args.max is not None else min(4, SUITES[args.suite][0])
     report = run_suite(args.suite, bound)
     if args.json:
@@ -122,17 +122,15 @@ def _cmd_check(args, out):
                     "failures": report.failures,
                     "ok": report.ok,
                 }
-            ),
-            file=out,
+            )
         )
     else:
         print(
             "%s: %d instances, %d failures"
-            % (report.suite, report.instances, len(report.failures)),
-            file=out,
+            % (report.suite, report.instances, len(report.failures))
         )
         for f in report.failures:
-            print("  FAIL %s" % f, file=out)
+            print("  FAIL %s" % f)
     if report.instances == 0:
         print("suite ran no instances", file=sys.stderr)
         return 1
@@ -164,7 +162,7 @@ def main(argv=None):
         return 2 if ex.code else 0
     wants_json = getattr(args, "json", False)
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
+        return _COMMANDS[args.command](args)
     except MotivicError as err:
         kind = type(err).__name__
         if wants_json:

@@ -2,8 +2,8 @@
 
 Production path: E(m), the scalar coefficient, is the x^m coefficient of
 (l - 1) * log G, G(x) = sum_n x^n / Upsilon(GL(n)), by the log recurrence;
-every other block-torus coefficient is the product form (1/m!) * prod over
-blocks of |b|! * E(|b|).  Neither builds the block-torus lattice; the
+every other block-torus coefficient is the product form: prod over blocks
+of E(|b|), over the Weyl index.  Neither builds the block-torus lattice; the
 defining Mobius-weighted sum over it is the test oracle.  Consistency is
 E = (l - 1) * log G itself, so it checks the block-size-type products
 (bgl_type_terms) against the recurrence; the E recursion (both sides exp
@@ -21,12 +21,11 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .errors import InternalInvariant, NotComparable, TooLarge
-from .groups import GeneralLinear, SetPartition, upsilon_group
-from .ratfield import Polynomial, RatFunc, in_lambda_circ, pi_eval
+from .groups import GeneralLinear, SetPartition, torus, upsilon_group, weyl_index_gl
+from .ratfield import ELL, ONE, ZERO, RatFunc, in_lambda_circ, pi_eval
 
 __all__ = [
     "e_coeff_gl",
-    "f_coeff_gl",
     "ECoeffTable",
     "e_recursion_residual",
     "f_recursion_residual",
@@ -39,14 +38,12 @@ E_GUARD = 7  # eff-table --max 8 is a documented refusal, pinned by tests and be
 RECURSION_GUARD = 8  # residual level; the table bound m + 1 <= E_GUARD binds first
 CONSISTENCY_GUARD = 6
 
-L = RatFunc.ell()
-
 
 # No caller is left, but bench/tracer.py reads its cache_info(); it goes
 # with the next benchmark change (ROADMAP direction 1).
 @lru_cache(maxsize=None)
 def _upsilon_gl_blocks(sizes):
-    acc = RatFunc.one()
+    acc = ONE
     for s in sizes:
         acc = acc * upsilon_group(GeneralLinear(s))
     return acc
@@ -69,8 +66,8 @@ def type_weight(sizes):
 
 
 @lru_cache(maxsize=None)
-def e_coeff_gl(m, q):
-    """Coefficient E of the block torus of q inside GL(m).
+def e_coeff_gl(q):
+    """Coefficient E of the block torus of q inside GL(m), m = q.m.
 
     By definition Upsilon(Q) times the sum, over block tori Q' containing
     Q, of mu(Q, Q') / (WeylIndex(Q') * Upsilon(C(Q'))).  Above the scalar
@@ -78,21 +75,21 @@ def e_coeff_gl(m, q):
     mu = (-1)^(k-1) (k-1)! on a Q' of k blocks, and that sum, grouped by
     block sizes, is the multinomial expansion of the x^m coefficient of
     (l - 1) * log G, which the log recurrence gives in O(m^2).  Any other
-    Q gets the product form (1/m!) * prod over blocks of |b|! * E(|b|).
+    Q gets the product form: prod over blocks of E(|b|), divided by the
+    Weyl index m! / prod |b|!.
     """
-    if not isinstance(q, SetPartition) or q.m != m:
-        raise ValueError("partition does not match m = %d" % m)
+    m = q.m
     if m > E_GUARD:
         raise TooLarge("E coefficients guarded at m <= %d" % E_GUARD)
     if q.n_blocks == 1:
-        acc = RatFunc.zero()
+        acc = ZERO
         for k in range(1, m):
             acc = acc + k * scalar_e(k) / upsilon_group(GeneralLinear(m - k))
-        result = (L - 1) / upsilon_group(GeneralLinear(m)) - acc / m
+        result = (ELL - 1) / upsilon_group(GeneralLinear(m)) - acc / m
     else:
-        result = RatFunc(Fraction(1, factorial(m)))
+        result = ONE / weyl_index_gl(q)
         for b in q.blocks:
-            result = result * factorial(len(b)) * scalar_e(len(b))
+            result = result * scalar_e(len(b))
     if not in_lambda_circ(result):
         raise InternalInvariant(
             "E(GL(%d), %s) left the subring regular at l = 1" % (m, q)
@@ -102,7 +99,7 @@ def e_coeff_gl(m, q):
 
 def scalar_e(m):
     """E(m): the coefficient of the scalar torus in GL(m)."""
-    return e_coeff_gl(m, SetPartition.one_block(m))
+    return e_coeff_gl(SetPartition.one_block(m))
 
 
 def bgl_type_terms(m):
@@ -120,18 +117,12 @@ def bgl_type_terms(m):
         yield len(sizes), coeff
 
 
-def f_coeff_gl(m, q):
-    """Value of the E coefficient at l = 1; equals the product of block
-    contributions (1/m!) * prod |b|! * F(|b|)."""
-    return pi_eval(e_coeff_gl(m, q))
-
-
 @dataclass(frozen=True)
 class ECoeffTable:
     """Scalar E(m) and F(m) for 1 <= m <= max_m, built by the log recurrence.
 
-    Construction re-checks the two stored invariants: every E(m) is regular
-    at l = 1 and F(m) is its value there.
+    Every E(m) is regular at l = 1 (e_coeff_gl raises InternalInvariant
+    otherwise) and F(m) is its value there.
     """
 
     max_m: int
@@ -144,26 +135,14 @@ class ECoeffTable:
             raise ValueError("max_m must be positive")
         if max_m > E_GUARD:
             raise TooLarge("E table guarded at m <= %d" % E_GUARD)
-        es = []
-        fs = []
-        for m in range(1, max_m + 1):
-            e = scalar_e(m)
-            if not in_lambda_circ(e):
-                raise InternalInvariant("E(%d) not regular at l = 1" % m)
-            es.append(e)
-            fs.append(pi_eval(e))
-        return cls(max_m, tuple(es), tuple(fs))
+        es = tuple(scalar_e(m) for m in range(1, max_m + 1))
+        return cls(max_m, es, tuple(pi_eval(e) for e in es))
 
     def e(self, m):
         return self.scalar_e[m - 1]
 
     def f(self, m):
         return self.scalar_f[m - 1]
-
-
-def _ell_cyclotomic_like(k):
-    # (l^k - 1)/(l - 1) = l^(k-1) + ... + 1
-    return RatFunc(Polynomial((1,) * k))
 
 
 def _check_level(m, table):
@@ -191,8 +170,8 @@ def e_recursion_residual(m, table):
     [x^(m+1)] exp(W) and the right side l^(-m) * [x^m] exp(-W).
     """
     _check_level(m, table)
-    w = {k: _ell_cyclotomic_like(k) * table.e(k) for k in range(1, m + 2)}
-    right = _exp_coeffs({k: -v for k, v in w.items()}, m)[m] / L**m
+    w = {k: (ELL**k - 1) / (ELL - 1) * table.e(k) for k in range(1, m + 2)}
+    right = _exp_coeffs({k: -v for k, v in w.items()}, m)[m] / ELL**m
     return _exp_coeffs(w, m + 1)[m + 1] - right
 
 
@@ -211,10 +190,10 @@ def consistency_residual(m):
         raise ValueError("m must be positive")
     if m > CONSISTENCY_GUARD:
         raise TooLarge("consistency residual guarded at m <= %d" % CONSISTENCY_GUARD)
-    total = RatFunc.zero()
+    total = ZERO
     for rank, coeff in bgl_type_terms(m):
-        total = total + coeff / (L - 1) ** rank
-    return RatFunc.one() / upsilon_group(GeneralLinear(m)) - total
+        total = total + coeff / upsilon_group(torus(rank))
+    return ONE / upsilon_group(GeneralLinear(m)) - total
 
 
 def m_big_coeff(p_poset, q_poset, r_poset, P, Q, R, weyl_inverse):

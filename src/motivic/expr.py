@@ -20,11 +20,12 @@ no containment of classes is checked or checkable here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .errors import ExprSyntaxError, GuardError
 from .groups import GeneralLinear, GroupDesc, Torus, product, torus, upsilon_group
 from .groups import Product as GroupProduct
-from .ratfield import Polynomial, RatFunc
+from .ratfield import ELL, ONE, ZERO
 
 __all__ = [
     "parse",
@@ -51,6 +52,24 @@ DEGREE_MAX = 768  # predicted result degree; keeps one evaluation within seconds
 
 class ClassExpr:
     __slots__ = ()
+
+    def __post_init__(self):
+        """Refuse the trees the grammar cannot build: a dimension, exponent
+        or GL rank below its least value, a sum or product of fewer than two
+        items, and a quotient by a group with a finite factor (README: "Why
+        only tori and GL(m) in quotients")."""
+        kind = type(self).__name__
+        for name, least in (("n", 0), ("k", 0), ("m", 1)):
+            if hasattr(self, name):
+                object.__setattr__(self, name, index(getattr(self, name)))
+                if getattr(self, name) < least:
+                    raise ValueError("%s.%s must be at least %d" % (kind, name, least))
+        if isinstance(self, (Sum, Product)) and len(self.items) < 2:
+            raise ValueError("%s needs at least two items" % kind)
+        if isinstance(self, (Quotient, BStack)):
+            factors = self.group.factors if isinstance(self.group, GroupProduct) else (self.group,)
+            if any(isinstance(f, Torus) and f.cls.torsion for f in factors):
+                raise ValueError("no quotient by a group with a finite factor: %s" % (self.group,))
 
 
 @dataclass(frozen=True)
@@ -382,25 +401,25 @@ def eval_class(e):
 
 def _eval(e):
     if isinstance(e, Affine):
-        return RatFunc(Polynomial.monomial(e.n))
+        return ELL**e.n
     if isinstance(e, Gm):
-        return RatFunc.ell() - 1
+        return ELL - 1
     if isinstance(e, Projective):
         # the cell decomposition: 1 + l + ... + l^n
-        return RatFunc(Polynomial((1,) * (e.n + 1)))
+        return (ELL ** (e.n + 1) - 1) / (ELL - 1)
     if isinstance(e, GLClass):
         return upsilon_group(GeneralLinear(e.m))
     if isinstance(e, Point):
-        return RatFunc.one()
+        return ONE
     if isinstance(e, Product):
-        acc = RatFunc.one()
+        acc = ONE
         for item in e.items:
             acc = acc * _eval(item)
         return acc
     if isinstance(e, Power):
         return _eval(e.base) ** e.k
     if isinstance(e, Sum):
-        acc = RatFunc.zero()
+        acc = ZERO
         for item in e.items:
             acc = acc + _eval(item)
         return acc
@@ -409,7 +428,7 @@ def _eval(e):
     if isinstance(e, Quotient):
         return _eval(e.expr) / upsilon_group(e.group)
     if isinstance(e, BStack):
-        return RatFunc.one() / upsilon_group(e.group)
+        return ONE / upsilon_group(e.group)
     raise TypeError("not a class expression: %r" % (e,))
 
 
@@ -432,17 +451,6 @@ def _prec(e):
     return _PREC_ATOM
 
 
-def render_group(g):
-    if isinstance(g, GeneralLinear):
-        return "GL(%d)" % g.m
-    if isinstance(g, Torus):
-        k = g.cls.torus_rank
-        return "Gm" if k == 1 else "Gm^%d" % k
-    if isinstance(g, GroupProduct):
-        return " * ".join(render_group(f) for f in g.factors)
-    raise TypeError("cannot render group %r" % (g,))
-
-
 def render(e):
     """Canonical text for an expression; parse(render(parse(s))) == parse(s)."""
     if isinstance(e, Affine):
@@ -456,9 +464,9 @@ def render(e):
     if isinstance(e, Point):
         return "pt"
     if isinstance(e, BStack):
-        return "B" + render_group(e.group)
+        return "B%s" % (e.group,)
     if isinstance(e, Quotient):
-        return "[%s / %s]" % (render(e.expr), render_group(e.group))
+        return "[%s / %s]" % (render(e.expr), e.group)
     if isinstance(e, Power):
         base = render(e.base)
         if _prec(e.base) < _PREC_ATOM or isinstance(e.base, (Affine, Projective)):

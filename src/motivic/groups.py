@@ -16,7 +16,7 @@ from math import factorial, prod
 from operator import index
 
 from .errors import TooLarge
-from .ratfield import Polynomial, RatFunc
+from .ratfield import ELL, ONE
 from .subgroups import AbelianGroupClass, SubgroupPoset, TorusSubgroup
 
 __all__ = [
@@ -138,7 +138,9 @@ class Torus(GroupDesc):
     cls: AbelianGroupClass
 
     def __str__(self):
-        return str(self.cls)
+        k = self.cls.torus_rank
+        torsion = "".join(" x Z/%d" % d for d in self.cls.torsion)
+        return ("Gm" if k == 1 else "Gm^%d" % k) + torsion
 
     def to_json(self):
         return {"kind": "torus", "rank": self.cls.torus_rank, "torsion": list(self.cls.torsion)}
@@ -178,7 +180,7 @@ class Product(GroupDesc):
         object.__setattr__(self, "factors", tuple(flat))
 
     def __str__(self):
-        return " x ".join(str(f) for f in self.factors)
+        return " * ".join(str(f) for f in self.factors)
 
     def to_json(self):
         return {"kind": "product", "factors": [f.to_json() for f in self.factors]}
@@ -213,15 +215,15 @@ def upsilon_group(g):
     standard product of l-power and (l^k - 1) factors."""
     if isinstance(g, Torus):
         order = g.cls.torsion_order()
-        return RatFunc(order) * (RatFunc.ell() - 1) ** g.cls.torus_rank
+        return order * (ELL - 1) ** g.cls.torus_rank
     if isinstance(g, GeneralLinear):
         m = g.m
-        acc = RatFunc(Polynomial.monomial(m * (m - 1) // 2))
+        acc = ELL ** (m * (m - 1) // 2)
         for k in range(1, m + 1):
-            acc = acc * (RatFunc(Polynomial.monomial(k)) - 1)
+            acc = acc * (ELL**k - 1)
         return acc
     if isinstance(g, Product):
-        acc = RatFunc.one()
+        acc = ONE
         for f in g.factors:
             acc = acc * upsilon_group(f)
         return acc

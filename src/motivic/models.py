@@ -9,7 +9,7 @@ point modulo an abelian group, or the plain class ratio).
 from __future__ import annotations
 
 from .groups import GeneralLinear, SetPartition, partition_to_subgroup, torus, upsilon_group
-from .ratfield import Polynomial, RatFunc
+from .ratfield import ELL
 from .stackcalc import StratifiedModel
 from .subgroups import TorusSubgroup
 
@@ -22,11 +22,6 @@ __all__ = [
 ]
 
 
-def _poly(*coeffs):
-    """RatFunc from integer coefficients by ascending degree."""
-    return RatFunc(Polynomial(coeffs))
-
-
 def gl2_flag_model():
     """GL(2) acting on GL(2)/T, T the diagonal torus.
 
@@ -37,11 +32,10 @@ def gl2_flag_model():
     full = TorusSubgroup.full_torus(2)
     scalars = partition_to_subgroup(SetPartition.one_block(2))
     return StratifiedModel(
-        2,
         GeneralLinear(2),
         (
-            (full, _poly(2)),
-            (scalars, _poly(-2, 1, 1)),  # l^2 + l - 2
+            (full, 2),
+            (scalars, ELL**2 + ELL - 2),
         ),
     )
 
@@ -57,14 +51,13 @@ def gl3_flag_model():
     """
     full = TorusSubgroup.full_torus(3)
     scalars = partition_to_subgroup(SetPartition.one_block(3))
-    pair = _poly(-6, 3, 3)  # 3(l^2 + l - 2)
-    total = _poly(0, 0, 0, 1, 2, 2, 1)  # l^6 + 2l^5 + 2l^4 + l^3
-    rest = total - _poly(6) - 3 * pair
+    pair = 3 * (ELL**2 + ELL - 2)
+    total = ELL**6 + 2 * ELL**5 + 2 * ELL**4 + ELL**3
+    rest = total - 6 - 3 * pair
     return StratifiedModel(
-        3,
         GeneralLinear(3),
         (
-            (full, _poly(6)),
+            (full, 6),
             (partition_to_subgroup(SetPartition(3, ((1, 2), (3,)))), pair),
             (partition_to_subgroup(SetPartition(3, ((1, 3), (2,)))), pair),
             (partition_to_subgroup(SetPartition(3, ((2, 3), (1,)))), pair),
@@ -80,7 +73,6 @@ def gl3_free_model():
     plain point.
     """
     return StratifiedModel(
-        3,
         GeneralLinear(3),
         ((TorusSubgroup.trivial(3), upsilon_group(GeneralLinear(3))),),
     )
@@ -93,11 +85,10 @@ def torus_weighted_line_model():
     order-two subgroup.
     """
     return StratifiedModel(
-        1,
         torus(1),
         (
-            (TorusSubgroup.full_torus(1), _poly(1)),
-            (TorusSubgroup(1, ((2,),)), _poly(-1, 1)),
+            (TorusSubgroup.full_torus(1), 1),
+            (TorusSubgroup(1, ((2,),)), ELL - 1),
         ),
     )
 
@@ -110,12 +101,11 @@ def torus_plane_model():
     stabilizer).
     """
     return StratifiedModel(
-        2,
         torus(2),
         (
-            (TorusSubgroup.full_torus(2), _poly(1)),
-            (TorusSubgroup(2, ((1, 0),)), _poly(-1, 1)),
-            (TorusSubgroup(2, ((0, 1),)), _poly(-1, 1)),
-            (TorusSubgroup.trivial(2), _poly(1, -2, 1)),
+            (TorusSubgroup.full_torus(2), 1),
+            (TorusSubgroup(2, ((1, 0),)), ELL - 1),
+            (TorusSubgroup(2, ((0, 1),)), ELL - 1),
+            (TorusSubgroup.trivial(2), (ELL - 1) ** 2),
         ),
     )

@@ -59,10 +59,6 @@ class Polynomial:
     def ell(cls):
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, k):
-        return cls((0,) * k + (1,))
-
     @property
     def degree(self):
         """Degree, with -1 as the sentinel for the zero polynomial."""
@@ -136,9 +132,10 @@ class Polynomial:
         if self.is_zero() or other.is_zero():
             return Polynomial(())
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]  # l^k - 1 is mostly zeros
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in terms:
                     out[i + j] += a * b
         return Polynomial(out)
 
@@ -399,8 +396,6 @@ def _l_monomial(k):
 def _poly_str(coeffs, monomial):
     """Render a coefficient tuple as text, highest degree first; monomial(k)
     is the text of the degree-k monomial for k >= 1."""
-    if not coeffs:
-        return "0"
     pieces = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
@@ -412,13 +407,17 @@ def _poly_str(coeffs, monomial):
             body = monomial(k)
         else:
             body = "%s*%s" % (abs(c), monomial(k))
-        sign = "-" if c < 0 else "+"
-        pieces.append((sign, body))
-    first_sign, first_body = pieces[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        out += " %s %s" % (sign, body)
-    return out
+        pieces.append((c < 0, body))
+    return signed_sum(pieces)
+
+
+def signed_sum(pieces):
+    """Text of a sum from (negative, body) pairs: '-a + b - c', with the
+    first sign glued to its body; '0' for no pieces."""
+    if not pieces:
+        return "0"
+    text = " ".join(("- " if neg else "+ ") + body for neg, body in pieces)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def _int_normalized(f):

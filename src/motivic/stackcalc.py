@@ -19,8 +19,25 @@ from operator import index
 
 from .coefficients import bgl_type_terms, e_coeff_gl
 from .errors import NotAbelian, PoleAtOne, TooLarge
-from .groups import GeneralLinear, Torus, enumerate_partitions, partition_to_subgroup
-from .ratfield import RatFunc, canonical_str, exact_fraction, in_lambda_circ, pi_eval
+from .groups import (
+    GeneralLinear,
+    Torus,
+    enumerate_partitions,
+    group_rank,
+    partition_to_subgroup,
+    torus,
+    upsilon_group,
+)
+from .ratfield import (
+    ONE,
+    ZERO,
+    RatFunc,
+    canonical_str,
+    exact_fraction,
+    in_lambda_circ,
+    pi_eval,
+    signed_sum,
+)
 from .subgroups import AbelianGroupClass, TorusSubgroup, poset_close
 
 __all__ = [
@@ -42,8 +59,6 @@ __all__ = [
 ABELIANIZE_GUARD = 6
 MODEL_GL_GUARD = 5
 MODEL_TORUS_GUARD = 6
-
-L = RatFunc.ell()
 
 
 def _sorted_terms(terms):
@@ -107,21 +122,13 @@ class _BarElem:
         return type(self)({c: -v for c, v in self.terms.items()})
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         pieces = []
         for cls, coeff in _sorted_terms(self.terms):
-            pieces.append((canonical_str(coeff), "[%s]" % cls))
-        out = []
-        for i, (cstr, tag) in enumerate(pieces):
+            cstr = canonical_str(coeff)
             neg = cstr.startswith("-") and "(" not in cstr
             body = cstr[1:] if neg else cstr
-            term = tag if body == "1" else "%s*%s" % (body, tag)
-            if i == 0:
-                out.append(("-" + term) if neg else term)
-            else:
-                out.append(("- " if neg else "+ ") + term)
-        return " ".join(out)
+            pieces.append((neg, "[%s]" % cls if body == "1" else "%s*[%s]" % (body, cls)))
+        return signed_sum(pieces)
 
     def to_json(self):
         return [
@@ -291,26 +298,24 @@ class StratifiedModel:
     sum of the stratum classes is the class of the whole variety.
     """
 
-    ambient_rank: int
     group: object
     strata: tuple
 
+    @property
+    def ambient_rank(self):
+        return group_rank(self.group)
+
     def __post_init__(self):
-        m = self.ambient_rank
-        if isinstance(self.group, GeneralLinear):
-            if self.group.m != m:
-                raise ValueError("GL rank must match ambient rank")
-        elif isinstance(self.group, Torus):
-            if self.group.cls.torus_rank != m or self.group.cls.torsion:
-                raise ValueError("model torus must be the split rank-m torus")
-        else:
+        if not isinstance(self.group, (GeneralLinear, Torus)):
             raise ValueError("model group must be GL(m) or a torus")
+        if isinstance(self.group, Torus) and self.group.cls.torsion:
+            raise ValueError("model torus must be split")
         strata = []
         seen = set()
         for stab, cls in self.strata:
             if not isinstance(stab, TorusSubgroup):
                 raise TypeError("stabilizer must be a TorusSubgroup")
-            if stab.ambient_rank != m:
+            if stab.ambient_rank != self.ambient_rank:
                 raise ValueError("stabilizer ambient rank mismatch")
             if stab in seen:
                 raise ValueError("duplicate exact stabilizer %s" % (stab,))
@@ -323,7 +328,7 @@ class StratifiedModel:
 
 def model_total_upsilon(x):
     """Class of the underlying variety: the sum over strata."""
-    total = RatFunc.zero()
+    total = ZERO
     for _, cls in x.strata:
         total = total + cls
     return total
@@ -346,7 +351,7 @@ def pi_re_n(x, n):
     if not isinstance(x.group, Torus):
         raise NotAbelian("real-rank projection needs an abelian model group")
     kept = tuple((s, c) for s, c in x.strata if s.iso_class().torus_rank == n)
-    return StratifiedModel(x.ambient_rank, x.group, kept)
+    return StratifiedModel(x.group, kept)
 
 
 def upsilon_pi_mu(x, mu):
@@ -362,16 +367,16 @@ def upsilon_pi_mu(x, mu):
         if m > MODEL_GL_GUARD:
             raise TooLarge("GL models guarded at rank <= %d" % MODEL_GL_GUARD)
         blocks = [
-            (partition_to_subgroup(q), e_coeff_gl(m, q), q.n_blocks)
+            (partition_to_subgroup(q), e_coeff_gl(q), q.n_blocks)
             for q in enumerate_partitions(m)
         ]
     else:
         if m > MODEL_TORUS_GUARD:
             raise TooLarge("torus models guarded at rank <= %d" % MODEL_TORUS_GUARD)
-        blocks = [(TorusSubgroup.full_torus(m), RatFunc.one(), m)]
-    total = RatFunc.zero()
+        blocks = [(TorusSubgroup.full_torus(m), ONE, m)]
+    total = ZERO
     for sub_q, e_q, rank in blocks:
-        e_over_ups = e_q / (L - 1) ** rank
+        e_over_ups = e_q / upsilon_group(torus(rank))
         for stab, cls in x.strata:
             w = mu.evaluate(stab.intersect(sub_q).iso_class())
             if w:

@@ -221,19 +221,19 @@ class TorusSubgroup:
     def dim(self):
         return self.ambient_rank - len(self.char_lattice)
 
-    def intersect(self, other):
+    def _same_ambient(self, other):
         if self.ambient_rank != other.ambient_rank:
             raise AmbientMismatch(
                 "ambient ranks differ: %d vs %d" % (self.ambient_rank, other.ambient_rank)
             )
+
+    def intersect(self, other):
+        self._same_ambient(other)
         return TorusSubgroup(self.ambient_rank, self.char_lattice + other.char_lattice)
 
     def contains(self, other):
         """True iff other is a subgroup of self (lattice inclusion reversed)."""
-        if self.ambient_rank != other.ambient_rank:
-            raise AmbientMismatch(
-                "ambient ranks differ: %d vs %d" % (self.ambient_rank, other.ambient_rank)
-            )
+        self._same_ambient(other)
         pivots = _pivot_cols(other.char_lattice)
         return all(
             _row_in_lattice(row, other.char_lattice, pivots) for row in self.char_lattice

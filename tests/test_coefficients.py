@@ -6,17 +6,17 @@ from math import factorial, prod
 
 import pytest
 
+from motivic import coefficients
 from motivic.coefficients import (
     ECoeffTable,
     _exp_coeffs,
     consistency_residual,
     e_coeff_gl,
     e_recursion_residual,
-    f_coeff_gl,
     f_recursion_residual,
     m_big_coeff,
 )
-from motivic.errors import NotInPoset, TooLarge
+from motivic.errors import InternalInvariant, NotInPoset, TooLarge
 from motivic.groups import (
     GeneralLinear,
     SetPartition,
@@ -24,7 +24,7 @@ from motivic.groups import (
     q_lattice_gl,
     upsilon_group,
 )
-from motivic.ratfield import ELL, ONE, RatFunc, ZERO, in_lambda_circ
+from motivic.ratfield import ELL, ONE, RatFunc, ZERO, in_lambda_circ, pi_eval
 from motivic.models import gl3_flag_model
 from motivic.stackcalc import WeightFn, abelianize_bgl, upsilon_pi_mu
 from motivic.subgroups import TorusSubgroup, poset_close
@@ -38,35 +38,36 @@ EXPECTED_E3 = (ONE / (L * L + L + 1)) * (
 
 
 def test_scalar_e_values():
-    assert e_coeff_gl(1, SetPartition.one_block(1)) == ONE
-    assert e_coeff_gl(2, SetPartition.one_block(2)) == EXPECTED_E2
-    assert e_coeff_gl(3, SetPartition.one_block(3)) == EXPECTED_E3
+    assert e_coeff_gl(SetPartition.one_block(1)) == ONE
+    assert e_coeff_gl(SetPartition.one_block(2)) == EXPECTED_E2
+    assert e_coeff_gl(SetPartition.one_block(3)) == EXPECTED_E3
 
 
 def test_scalar_f_values():
-    assert f_coeff_gl(1, SetPartition.one_block(1)) == 1
-    assert f_coeff_gl(2, SetPartition.one_block(2)) == Fraction(-3, 4)
-    assert f_coeff_gl(3, SetPartition.one_block(3)) == Fraction(10, 9)
+    assert pi_eval(e_coeff_gl(SetPartition.one_block(1))) == 1
+    assert pi_eval(e_coeff_gl(SetPartition.one_block(2))) == Fraction(-3, 4)
+    assert pi_eval(e_coeff_gl(SetPartition.one_block(3))) == Fraction(10, 9)
 
 
 def test_e_singletons_m2():
     # by hand: Upsilon(T) * (1/2) / Upsilon(T)
-    assert e_coeff_gl(2, SetPartition.singletons(2)) == RatFunc(
+    assert e_coeff_gl(SetPartition.singletons(2)) == RatFunc(
         Fraction(1, 2)
     )
 
 
 def test_e_guard():
     with pytest.raises(TooLarge):
-        e_coeff_gl(8, SetPartition.one_block(8))
+        e_coeff_gl(SetPartition.one_block(8))
 
 
-def _mobius_e(m, q):
+def _mobius_e(q):
     """Oracle for e_coeff_gl: the defining Mobius-weighted sum over the
     block-torus lattice.  Upsilon(Q) times the sum, over block tori Q'
     containing Q, of mu(Q, Q') / (WeylIndex(Q') * Upsilon(C(Q'))), with the
     terms grouped by (block-size multiset, mu) before any rational
     arithmetic."""
+    m = q.m
     lat = q_lattice_gl(m)
     iq = lat.partitions.index(q)
     groups = Counter()
@@ -82,22 +83,22 @@ def _mobius_e(m, q):
 
 
 def test_product_formula_examples():
-    assert e_coeff_gl(3, SetPartition.one_block(3)) == _mobius_e(
-        3, SetPartition.one_block(3)
+    assert e_coeff_gl(SetPartition.one_block(3)) == _mobius_e(
+        SetPartition.one_block(3)
     )
     for e in (e_coeff_gl, _mobius_e):
-        assert e(2, SetPartition.singletons(2)) == RatFunc(Fraction(1, 2))
-        got = e(3, SetPartition(3, ((1, 2), (3,))))
+        assert e(SetPartition.singletons(2)) == RatFunc(Fraction(1, 2))
+        got = e(SetPartition(3, ((1, 2), (3,))))
         assert got == EXPECTED_E2 / 3
 
 
 def test_product_formula_equals_direct_everywhere():
     for m in range(1, 6):
         for q in enumerate_partitions(m):
-            assert e_coeff_gl(m, q) == _mobius_e(m, q)
+            assert e_coeff_gl(q) == _mobius_e(q)
     for m in (6, 7):
         q = SetPartition.one_block(m)
-        assert e_coeff_gl(m, q) == _mobius_e(m, q)
+        assert e_coeff_gl(q) == _mobius_e(q)
 
 
 def test_coefficient_layer_builds_no_lattice():
@@ -110,10 +111,27 @@ def test_coefficient_layer_builds_no_lattice():
     assert q_lattice_gl.cache_info().currsize == 0
 
 
+def test_table_keeps_only_e_regular_at_one(monkeypatch):
+    # build stores only what e_coeff_gl returns, and e_coeff_gl refuses an
+    # E with a pole at l = 1; a doubled GL(1) class puts one in E(1)
+    real = coefficients.upsilon_group
+    monkeypatch.setattr(
+        coefficients,
+        "upsilon_group",
+        lambda g: (L - 1) ** 2 if g == GeneralLinear(1) else real(g),
+    )
+    e_coeff_gl.cache_clear()
+    try:
+        with pytest.raises(InternalInvariant):
+            ECoeffTable.build(1)
+    finally:
+        e_coeff_gl.cache_clear()
+
+
 def test_lambda_circ_membership_all_partitions():
     for m in range(1, 7):
         for q in enumerate_partitions(m):
-            assert in_lambda_circ(e_coeff_gl(m, q))
+            assert in_lambda_circ(e_coeff_gl(q))
 
 
 def _compositions(n):
@@ -147,7 +165,7 @@ def test_exp_coeffs_match_composition_sum():
             w = {k: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for k in range(1, n + 1)}
             signed = {k: sign * v for k, v in w.items()}
             assert _exp_coeffs(signed, n)[n] == _composition_sum(n, sign, w)
-    w = {k: (L**k - 1) / (L - 1) * e_coeff_gl(k, SetPartition.one_block(k)) for k in range(1, 6)}
+    w = {k: (L**k - 1) / (L - 1) * e_coeff_gl(SetPartition.one_block(k)) for k in range(1, 6)}
     assert _exp_coeffs(w, 5)[5] == _composition_sum(5, 1, w)
     assert _exp_coeffs({k: -v for k, v in w.items()}, 5)[5] == _composition_sum(5, -1, w)
 

@@ -22,7 +22,6 @@ from motivic.expr import (
     eval_class,
     parse,
     render,
-    render_group,
 )
 from motivic.groups import GeneralLinear, product, torus
 from motivic.ratfield import ELL, ONE, RatFunc
@@ -113,6 +112,33 @@ def test_guard_errors():
         parse("Gm^200")
 
 
+def test_nodes_refuse_what_the_grammar_cannot_build():
+    # the node classes are public, so they refuse by themselves what the
+    # parser's guards refuse; eval_class and render may trust any node
+    refused = [
+        (ValueError, lambda: Affine(-2)),
+        (ValueError, lambda: Projective(-3)),
+        (ValueError, lambda: Power(Affine(1), -2)),
+        (ValueError, lambda: GLClass(0)),
+        (ValueError, lambda: Sum(())),
+        (ValueError, lambda: Sum((Point(),))),
+        (ValueError, lambda: Product(())),
+        (ValueError, lambda: Quotient(Point(), torus(1, (2,)))),
+        (ValueError, lambda: BStack(product(GeneralLinear(2), torus(1, (2,))))),
+        (TypeError, lambda: Affine(1.5)),
+        (TypeError, lambda: Projective("2")),
+        (TypeError, lambda: Power(Gm(), 2.0)),
+        (TypeError, lambda: GLClass(None)),
+    ]
+    for error, build in refused:
+        with pytest.raises(error):
+            build()
+    # the split torus of rank 0 is no finite group, and its text parses back
+    node = Quotient(Point(), torus(0))
+    assert parse(render(node)) == node
+    assert eval_class(node) == ONE
+
+
 def test_eval_examples():
     assert eval_class(parse("GL(2) / (Gm^2)")) == L * (L + 1)
     assert eval_class(parse("P^2")) == L * L + L + 1
@@ -170,7 +196,7 @@ def parenthesized(e):
     if isinstance(e, Power):
         return "%s^%d" % (wrap(e.base), e.k)
     if isinstance(e, Quotient):
-        return "[%s / %s]" % (parenthesized(e.expr), render_group(e.group))
+        return "[%s / %s]" % (parenthesized(e.expr), e.group)
     return render(e)
 
 

@@ -60,3 +60,35 @@ def test_package_namespace_is_the_module_lists():
         n for n, v in vars(motivic).items() if not n.startswith("_") and not isinstance(v, ModuleType)
     }
     assert public == expected
+
+
+def names_polynomial(tree):
+    """Lines where a module imports the name Polynomial, reads it as a
+    plain name or reaches it as an attribute."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name.split(".")[-1] == "Polynomial" for alias in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "Polynomial":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "Polynomial":
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_polynomial_scan_sees_imports_names_and_attributes():
+    src = "from .ratfield import Polynomial as P\nx = ratfield.Polynomial\ny = Polynomial(())\nz = 1\n"
+    assert names_polynomial(ast.parse(src)) == [1, 2, 3]
+
+
+def test_only_ratfield_builds_polynomials():
+    # every other module builds Q(l) values from ELL, ONE, ZERO and field
+    # arithmetic, so the polynomial kernel can change inside one module
+    found = []
+    for path in sorted((ROOT / "src" / "motivic").glob("*.py")):
+        if path.name == "ratfield.py":
+            continue
+        for line in names_polynomial(ast.parse(path.read_text(), str(path))):
+            found.append("%s:%d" % (path.relative_to(ROOT), line))
+    assert not found, "Polynomial named outside ratfield:\n" + "\n".join(found)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from motivic.checks import SUITES
 from motivic.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -30,6 +31,16 @@ def _transcripts():
 def test_library_tour_runs(capsys):
     exec(_block_after("## Library tour", "python"), {})
     assert capsys.readouterr().out == "1/2*[Gm^2] - 3/4*[Gm]\n"
+
+
+def test_check_suite_list_states_the_limits():
+    # each suite's limit is stated once in SUITES; the README list must agree
+    section = README[README.index("### Check suites") :]
+    section = section[: section.index("\n### ")]
+    listed = re.findall(r"^\* `([a-z0-9-]+)` \(`M <= (\d+)`", section, re.M)
+    assert {name: int(limit) for name, limit in listed} == {
+        name: limit for name, (limit, _) in SUITES.items()
+    }
 
 
 TRANSCRIPTS = _transcripts()

@@ -183,7 +183,7 @@ def test_gen_euler_commutes_with_weights(mu, x):
 
 
 def test_model_total_upsilon():
-    empty = StratifiedModel(2, GeneralLinear(2), ())
+    empty = StratifiedModel(GeneralLinear(2), ())
     assert model_total_upsilon(empty) == ZERO
     m = gl2_flag_model()
     assert model_total_upsilon(m) == L * L + L
@@ -191,7 +191,7 @@ def test_model_total_upsilon():
 
 
 def test_p_lattice_examples():
-    single = StratifiedModel(2, GeneralLinear(2), ((TorusSubgroup.full_torus(2), ONE),))
+    single = StratifiedModel(GeneralLinear(2), ((TorusSubgroup.full_torus(2), ONE),))
     assert len(p_lattice(single)) == 1
     assert len(p_lattice(gl2_flag_model())) == 2
     assert len(p_lattice(torus_plane_model())) == 4
@@ -245,7 +245,7 @@ def test_random_gl_models_const_one_is_class_ratio():
             stabs.add(s)
             coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
             strata.append((s, RatFunc(tuple(coeffs))))
-        model = StratifiedModel(m, GeneralLinear(m), tuple(strata))
+        model = StratifiedModel(GeneralLinear(m), tuple(strata))
         got = upsilon_pi_mu(model, WeightFn.const_one())
         assert got == model_total_upsilon(model) / upsilon_group(GeneralLinear(m))
 
@@ -257,7 +257,7 @@ def test_point_stack_model_matches_abelianization():
     # ties the projection's set-partition sum to the block-size-type terms
     for m in range(1, MODEL_GL_GUARD + 1):
         model = StratifiedModel(
-            m, GeneralLinear(m), ((TorusSubgroup.full_torus(m), ONE),)
+            GeneralLinear(m), ((TorusSubgroup.full_torus(m), ONE),)
         )
         expansion = abelianize_bgl(m)
         for n in range(m + 2):
@@ -297,15 +297,13 @@ def test_pi_re_examples():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        StratifiedModel(2, GeneralLinear(3), ())
     dup = TorusSubgroup.full_torus(2)
     with pytest.raises(ValueError):
-        StratifiedModel(2, GeneralLinear(2), ((dup, ONE), (dup, ONE)))
+        StratifiedModel(GeneralLinear(2), ((dup, ONE), (dup, ONE)))
     from motivic.groups import torus
 
     with pytest.raises(ValueError):
-        StratifiedModel(2, torus(2, (2,)), ())
+        StratifiedModel(torus(2, (2,)), ())
 
 
 def test_rendering():
@@ -337,7 +335,7 @@ def test_values_are_exact_and_constants_hash_like_numbers():
         lambda: WeightFn.table({GM: 0.1}),
         lambda: WeightFn(default="1/2"),
         lambda: WeightFn(rank_weights=((1, 0.5),)),
-        lambda: StratifiedModel(1, GeneralLinear(1), ((TorusSubgroup.full_torus(1), 0.5),)),
+        lambda: StratifiedModel(GeneralLinear(1), ((TorusSubgroup.full_torus(1), 0.5),)),
     ]
     for build in refused:
         with pytest.raises(TypeError):
