@@ -13,8 +13,6 @@ from fractions import Fraction
 from math import factorial
 
 from .coefficients import (
-    CONSISTENCY_GUARD,
-    E_GUARD,
     ECoeffTable,
     consistency_residual,
     e_recursion_residual,
@@ -29,6 +27,7 @@ from .groups import (
     torus,
     upsilon_group,
 )
+from .guards import CONSISTENCY_GUARD, E_GUARD
 from .models import (
     gl2_flag_model,
     gl3_flag_model,

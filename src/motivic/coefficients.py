@@ -22,6 +22,7 @@ from math import factorial, prod
 
 from .errors import InternalInvariant, NotComparable, TooLarge
 from .groups import GeneralLinear, SetPartition, torus, upsilon_group, weyl_index_gl
+from .guards import CONSISTENCY_GUARD, E_GUARD, RECURSION_GUARD
 from .ratfield import ELL, ONE, ZERO, RatFunc, in_lambda_circ, pi_eval
 
 __all__ = [
@@ -33,10 +34,6 @@ __all__ = [
     "bgl_type_terms",
     "m_big_coeff",
 ]
-
-E_GUARD = 7  # eff-table --max 8 is a documented refusal, pinned by tests and bench goldens
-RECURSION_GUARD = 8  # residual level; the table bound m + 1 <= E_GUARD binds first
-CONSISTENCY_GUARD = 6
 
 
 # No caller is left, but bench/tracer.py reads its cache_info(); it goes

@@ -25,6 +25,7 @@ from operator import index
 from .errors import ExprSyntaxError, GuardError
 from .groups import GeneralLinear, GroupDesc, Torus, product, torus, upsilon_group
 from .groups import Product as GroupProduct
+from .guards import DEGREE_MAX, DIM_MAX, GL_MAX, NEST_MAX
 from .ratfield import ELL, ONE, ZERO
 
 __all__ = [
@@ -44,11 +45,6 @@ __all__ = [
     "BStack",
 ]
 
-DIM_MAX = 64  # exponents and dimensions in expressions
-GL_MAX = 16
-NEST_MAX = 100  # open brackets and parentheses; keeps recursion far from the stack limit
-DEGREE_MAX = 768  # predicted result degree; keeps one evaluation within seconds
-
 
 class ClassExpr:
     __slots__ = ()
@@ -56,8 +52,8 @@ class ClassExpr:
     def __post_init__(self):
         """Refuse the trees the grammar cannot build: a dimension, exponent
         or GL rank below its least value, a sum or product of fewer than two
-        items, and a quotient by a group with a finite factor (README: "Why
-        only tori and GL(m) in quotients")."""
+        items, B of a group other than GL(m), and a quotient by a group with
+        a finite factor (README: "Why only tori and GL(m) in quotients")."""
         kind = type(self).__name__
         for name, least in (("n", 0), ("k", 0), ("m", 1)):
             if hasattr(self, name):
@@ -66,7 +62,9 @@ class ClassExpr:
                     raise ValueError("%s.%s must be at least %d" % (kind, name, least))
         if isinstance(self, (Sum, Product)) and len(self.items) < 2:
             raise ValueError("%s needs at least two items" % kind)
-        if isinstance(self, (Quotient, BStack)):
+        if isinstance(self, BStack) and not isinstance(self.group, GeneralLinear):
+            raise ValueError("B takes GL(m) only, not %s" % (self.group,))
+        if isinstance(self, Quotient):
             factors = self.group.factors if isinstance(self.group, GroupProduct) else (self.group,)
             if any(isinstance(f, Torus) and f.cls.torsion for f in factors):
                 raise ValueError("no quotient by a group with a finite factor: %s" % (self.group,))

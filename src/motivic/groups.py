@@ -16,6 +16,7 @@ from math import factorial, prod
 from operator import index
 
 from .errors import TooLarge
+from .guards import PARTITION_GUARD, Q_LATTICE_GUARD
 from .ratfield import ELL, ONE
 from .subgroups import AbelianGroupClass, SubgroupPoset, TorusSubgroup
 
@@ -37,9 +38,6 @@ __all__ = [
     "centralizer_gl",
     "weyl_index_gl",
 ]
-
-PARTITION_GUARD = 9  # Bell(9) = 21147
-Q_LATTICE_GUARD = 7  # Bell(7) = 877
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +265,6 @@ class PartitionLattice(SubgroupPoset):
     Block tori are closed under intersection (intersecting imposes the
     union of the equalities, which is the common coarsening), so the
     family is a valid SubgroupPoset without an explicit closure pass.
-    Ranks above Q_LATTICE_GUARD are refused before any enumeration.
     """
 
     def __init__(self, m):

@@ -195,7 +195,7 @@ class Polynomial:
 def poly_gcd(a, b):
     """Monic gcd of two rational polynomials (zero if both are zero)."""
     while not b.is_zero():
-        a, b = b, a % b
+        a, b = b, (a % b).monic()
     return a.monic()
 
 

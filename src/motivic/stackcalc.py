@@ -28,6 +28,7 @@ from .groups import (
     torus,
     upsilon_group,
 )
+from .guards import ABELIANIZE_GUARD, MODEL_GL_GUARD, MODEL_TORUS_GUARD
 from .ratfield import (
     ONE,
     ZERO,
@@ -55,10 +56,6 @@ __all__ = [
     "upsilon_pi_mu",
     "pi_re_n",
 ]
-
-ABELIANIZE_GUARD = 6
-MODEL_GL_GUARD = 5
-MODEL_TORUS_GUARD = 6
 
 
 def _sorted_terms(terms):

@@ -22,6 +22,7 @@ from operator import index
 import numpy as np
 
 from .errors import AmbientMismatch, NotComparable, NotInPoset, TooLarge
+from .guards import CROSSCUT_GUARD
 
 __all__ = [
     "hnf",
@@ -31,8 +32,6 @@ __all__ = [
     "SubgroupPoset",
     "poset_close",
 ]
-
-CROSSCUT_GUARD = 20  # max down-set size for the literal subset sum
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 from motivic.cli import main
 
@@ -173,6 +174,22 @@ def test_eval_degree_guard_error(capsys):
     assert code == 2
     assert json.loads(out)["error"]["type"] == "GuardError"
     assert err == ""
+
+
+def test_eval_high_multiplicity_sums_finish(capsys):
+    # a factor of high multiplicity, such as (l - 1)^64, made the Fraction
+    # coefficients of unnormalized gcd remainders explode: these sums took
+    # 13 s to over 40 s before the remainders were made monic
+    for text in (
+        "[pt/Gm^32] + [pt/GL(8)]",
+        "[pt/Gm^64] + [pt/GL(8)]",
+        "[pt/GL(16)] + [pt/GL(13)] + [pt/GL(11)]",
+    ):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "eval", text, "--json")
+        assert time.perf_counter() - t0 < 5.0, text
+        assert (code, err) == (0, "")
+        assert json.loads(out)["input"] == text
 
 
 def test_eval_deep_nesting_is_a_guard_error(capsys):

@@ -5,8 +5,6 @@ import pytest
 
 from motivic.errors import ExprSyntaxError, GuardError
 from motivic.expr import (
-    DEGREE_MAX,
-    NEST_MAX,
     Affine,
     BStack,
     Diff,
@@ -24,6 +22,7 @@ from motivic.expr import (
     render,
 )
 from motivic.groups import GeneralLinear, product, torus
+from motivic.guards import DEGREE_MAX, NEST_MAX
 from motivic.ratfield import ELL, ONE, RatFunc
 
 L = ELL
@@ -125,6 +124,9 @@ def test_nodes_refuse_what_the_grammar_cannot_build():
         (ValueError, lambda: Product(())),
         (ValueError, lambda: Quotient(Point(), torus(1, (2,)))),
         (ValueError, lambda: BStack(product(GeneralLinear(2), torus(1, (2,))))),
+        # B takes one GL(m): "BGL(2) * Gm" parses to another tree, "BGm" not at all
+        (ValueError, lambda: BStack(product(GeneralLinear(2), torus(1)))),
+        (ValueError, lambda: BStack(torus(1))),
         (TypeError, lambda: Affine(1.5)),
         (TypeError, lambda: Projective("2")),
         (TypeError, lambda: Power(Gm(), 2.0)),

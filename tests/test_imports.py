@@ -92,3 +92,39 @@ def test_only_ratfield_builds_polynomials():
         for line in names_polynomial(ast.parse(path.read_text(), str(path))):
             found.append("%s:%d" % (path.relative_to(ROOT), line))
     assert not found, "Polynomial named outside ratfield:\n" + "\n".join(found)
+
+
+def defines_guard(tree):
+    """Lines where a module binds a module-level name ending in _GUARD or
+    _MAX by assignment."""
+    lines = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        names = [n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        if any(n.id.endswith(("_GUARD", "_MAX")) for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_guard_scan_sees_module_level_assignments():
+    src = (
+        "from .guards import E_GUARD\nA_GUARD = 1\nB_MAX: int = 2\nC, D_MAX = 3, 4\n"
+        "E_GUARD += 1\nlimit = E_GUARD\ndef f():\n    F_GUARD = 5\n"
+    )
+    assert defines_guard(ast.parse(src)) == [2, 3, 4, 5]
+
+
+def test_only_guards_defines_size_guards():
+    # one table owns the size policy, so a guard moves with one edit there
+    found = []
+    for path in sorted((ROOT / "src" / "motivic").glob("*.py")):
+        if path.name == "guards.py":
+            continue
+        for line in defines_guard(ast.parse(path.read_text(), str(path))):
+            found.append("%s:%d" % (path.relative_to(ROOT), line))
+    assert not found, "size guard defined outside guards.py:\n" + "\n".join(found)

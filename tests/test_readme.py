@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from motivic import guards
 from motivic.checks import SUITES
 from motivic.cli import main
 
@@ -40,6 +41,17 @@ def test_check_suite_list_states_the_limits():
     listed = re.findall(r"^\* `([a-z0-9-]+)` \(`M <= (\d+)`", section, re.M)
     assert {name: int(limit) for name, limit in listed} == {
         name: limit for name, (limit, _) in SUITES.items()
+    }
+
+
+def test_size_guard_list_is_the_guard_table():
+    # each guard is defined once in motivic.guards; the README list must agree
+    section = README[README.index("### Size guards") :]
+    section = section[: section.index("\n### ")]
+    listed = re.findall(r"^\* `([A-Z_]+) = (\d+)`", section, re.M)
+    assert len(listed) == len({name for name, _ in listed})
+    assert {name: int(value) for name, value in listed} == {
+        name: value for name, value in vars(guards).items() if name.endswith(("_GUARD", "_MAX"))
     }
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from motivic.errors import NotAbelian, PoleAtOne, TooLarge
 from motivic.groups import GeneralLinear, upsilon_group
+from motivic.guards import MODEL_GL_GUARD
 from motivic.models import (
     gl2_flag_model,
     gl3_flag_model,
@@ -16,7 +17,6 @@ from motivic.models import (
 )
 from motivic.ratfield import ELL, ONE, Polynomial, RatFunc, ZERO
 from motivic.stackcalc import (
-    MODEL_GL_GUARD,
     LambdaBarElem,
     OmegaBarElem,
     StratifiedModel,

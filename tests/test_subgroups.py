@@ -1,7 +1,9 @@
 import random
 import time
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, gcd, prod
+from operator import mul
 
 import numpy as np
 import pytest
@@ -244,6 +246,37 @@ def test_iso_class_rank_monotone_under_intersection():
         assert c.iso_class().torus_rank <= min(a.iso_class().torus_rank, b.iso_class().torus_rank)
 
 
+def fq_points(m, rows, q):
+    """Points over F_q of the subgroup of G_m^m cut out by the characters
+    rows, as exponent vectors: t = g^e for a generator g of the cyclic
+    group F_q^*, so e in (Z/(q-1))^m with r . e = 0 mod q - 1 for each r."""
+    return {
+        e
+        for e in product(range(q - 1), repeat=m)
+        if all(sum(map(mul, r, e)) % (q - 1) == 0 for r in rows)
+    }
+
+
+def test_point_counts_over_finite_fields():
+    # an oracle sharing no code with hnf or the Smith form: G_m^k x K has
+    # (q - 1)^k * prod gcd(d, q - 1) points over F_q, and the points of an
+    # intersection are the common points of the rows as drawn
+    for q in (7, 13):
+        rng = random.Random(q)
+        for _ in range(150):
+            m = rng.randint(1, 3)
+            rows_a, rows_b = (
+                tuple(random_row(rng, m, 4) for _ in range(rng.randint(1, m))) for _ in range(2)
+            )
+            a, b = TorusSubgroup(m, rows_a), TorusSubgroup(m, rows_b)
+            c = a.intersect(b)
+            pa, pb, pc = (fq_points(m, rows, q) for rows in (rows_a, rows_b, c.char_lattice))
+            assert pc == pa & pb
+            for s, pts in ((a, pa), (b, pb), (c, pc)):
+                iso = s.iso_class()
+                assert len(pts) == (q - 1) ** iso.torus_rank * prod(gcd(d, q - 1) for d in iso.torsion)
+
+
 def test_poset_close_examples():
     top = TorusSubgroup.full_torus(3)
     only_top = poset_close([], top)
@@ -257,8 +290,8 @@ def test_poset_close_examples():
     assert set(again.elements) == set(p.elements)
 
 
-def random_row(rng, m):
-    return tuple(rng.randint(-2, 2) for _ in range(m))
+def random_row(rng, m, bound=2):
+    return tuple(rng.randint(-bound, bound) for _ in range(m))
 
 
 def _pairwise_close(seed, top):
