@@ -5,7 +5,12 @@ library bottoms out here.  Values are immutable and always kept in a
 canonical reduced form (denominator monic, gcd(num, den) = 1), so equality
 is plain component comparison and results are reproducible across runs.
 
-No floating point is used anywhere: coefficients are `fractions.Fraction`.
+No floating point is used anywhere.  Coefficients are exact rationals
+(`fractions.Fraction`) at rest, but the arithmetic runs on integer primitive
+parts: a product is one big-integer product (Kronecker substitution), and
+the gcd that keeps a quotient reduced is the heuristic gcd GCDHEU of Char,
+Geddes and Gonnet (1989), with the primitive remainder sequence as its
+fallback.
 """
 
 from __future__ import annotations
@@ -131,13 +136,9 @@ class Polynomial:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Polynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]  # l^k - 1 is mostly zeros
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in terms:
-                    out[i + j] += a * b
-        return Polynomial(out)
+        ca, a = _primitive(self.coeffs)
+        cb, b = _primitive(other.coeffs)
+        return _scaled(ca * cb, _mul_ints(a, b))
 
     __rmul__ = __mul__
 
@@ -149,32 +150,10 @@ class Polynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
-
-    def __divmod__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial((other,))
-        if other.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        lead = other.leading
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i]:
-                c = rem[i] / lead
-                q[i - d] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i - d + j] -= c * b
-        return Polynomial(q), Polynomial(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def eval_at(self, x):
         x = exact_fraction(x)
@@ -183,20 +162,175 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def monic(self):
-        if self.is_zero():
-            return self
-        lead = self.leading
-        if lead == 1:
-            return self
-        return Polynomial(tuple(c / lead for c in self.coeffs))
+
+# ---------------------------------------------------------------------------
+# the integer kernel: coefficient lists of ints, lowest degree first, with a
+# nonzero last entry
+
+
+def _primitive(coeffs):
+    """Split a nonzero Fraction coefficient sequence into (content, ints):
+    coeffs = content * ints, where ints are integers with gcd 1 and a
+    positive last (leading) entry, and content is a Fraction."""
+    den = 1
+    for c in coeffs:
+        d = c.denominator
+        if den % d:
+            den = den * d // _int_gcd(den, d)
+    g, ints = _int_primitive([c.numerator * (den // c.denominator) for c in coeffs])
+    return Fraction(g, den), ints
+
+
+def _int_primitive(ints):
+    """(g, ints / g) for the g = +-gcd(ints) that leaves the last entry
+    positive."""
+    g = _int_gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return g, (ints if g == 1 else [c // g for c in ints])
+
+
+def _scaled(s, ints):
+    """The Polynomial s * ints, for a nonzero Fraction s."""
+    p, q = s.numerator, s.denominator
+    out = Polynomial.__new__(Polynomial)
+    if q == 1:
+        out.coeffs = tuple(Fraction(p * c) for c in ints)
+    else:
+        out.coeffs = tuple(Fraction(p * c, q) for c in ints)
+    return out
+
+
+def _pack(ints, k):
+    """The value at 2^k of the polynomial with coefficients ints: Horner on
+    short runs, halves joined by one shift, so the cost stays near linear."""
+    if len(ints) <= 8:
+        v = 0
+        for c in reversed(ints):
+            v = (v << k) + c
+        return v
+    m = len(ints) // 2
+    return _pack(ints[:m], k) + (_pack(ints[m:], k) << (k * m))
+
+
+def _unpack(v, k, length):
+    """The lowest `length` balanced base-2^k digits of v, each in
+    [-2^(k-1), 2^(k-1)), lowest first; k is a multiple of 8."""
+    n = k >> 3
+    raw = (v & ((1 << (k * length)) - 1)).to_bytes(n * length, "little")
+    half, full = 1 << (k - 1), 1 << k
+    out = []
+    carry = 0
+    for i in range(0, n * length, n):
+        d = int.from_bytes(raw[i : i + n], "little") + carry
+        carry = d >= half
+        out.append(d - full if carry else d)
+    return out
+
+
+def _mul_ints(a, b):
+    """Product of two nonzero integer coefficient lists by Kronecker
+    substitution: pack both at 2^k, multiply once, unpack.  Every product
+    coefficient is at most max|a| * max|b| * min(len) in size, and k leaves
+    room for that and its sign."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    k = (bound.bit_length() + 8) & ~7
+    return _unpack(_pack(a, k) * _pack(b, k), k, len(a) + len(b) - 1)
+
+
+def _interpolate(v, k):
+    """The polynomial whose value at 2^k is v > 0 with balanced digits,
+    trimmed; its leading coefficient is positive."""
+    out = _unpack(v, k, v.bit_length() // k + 2)
+    while not out[-1]:
+        out.pop()
+    return out
+
+
+# GCDHEU evaluation points tried before the remainder sequence
+_HEU_TRIES = 6
+
+
+def _gcd_parts(f, g):
+    """(h, f/h, g/h) for primitive integer lists f and g with positive
+    leading coefficients, where h is their gcd (primitive, positive
+    leading coefficient).
+
+    GCDHEU: evaluate at x = 2^k, take one integer gcd, interpolate its
+    balanced digits into h and check h * (f/h) == f and h * (g/h) == g.
+    With x >= 2 * min(max|f|, max|g|) + 2 a common divisor found this way is
+    the gcd: a further common factor q would have q(x) dividing the content
+    of the interpolant, which is at most x/2, while every common root lies
+    within 1 + min(max|f|, max|g|) of 0, so |q(x)| > x/2.  After six failed
+    points the primitive remainder sequence gives the gcd.
+    """
+    if len(f) == 1 or len(g) == 1:
+        return [1], f, g
+    norm = min(max(map(abs, f)), max(map(abs, g)))
+    k = ((2 * norm + 2).bit_length() + 7) & ~7
+    for _ in range(_HEU_TRIES):
+        fx, gx = _pack(f, k), _pack(g, k)
+        h = _int_primitive(_interpolate(_int_gcd(fx, gx), k))[1]
+        if len(h) == 1:
+            return h, f, g
+        hx = _pack(h, k)
+        cf = _interpolate(fx // hx, k)
+        if _mul_ints(h, cf) == f:
+            cg = _interpolate(gx // hx, k)
+            if _mul_ints(h, cg) == g:
+                return h, cf, cg
+        k += (k // 32) * 8 + 8
+    h = _prs_gcd(f, g)
+    return h, _exact_quo(f, h), _exact_quo(g, h)
+
+
+def _prs_gcd(f, g):
+    """gcd of primitive integer lists with positive leading coefficients by
+    the primitive remainder sequence: each pseudo-remainder loses its
+    content, so the coefficients stay small."""
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        r = list(f)
+        lead = g[-1]
+        while len(r) >= len(g):
+            c = r[-1]
+            shift = len(r) - len(g)
+            r = [x * lead for x in r]
+            for j, b in enumerate(g):
+                r[shift + j] -= c * b
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return g
+        f, g = g, _int_primitive(r)[1]
+    return [1]
+
+
+def _exact_quo(f, h):
+    """f / h for integer lists when h divides f exactly."""
+    r = list(f)
+    dh = len(h) - 1
+    lead = h[-1]
+    terms = [(j, b) for j, b in enumerate(h[:-1]) if b]
+    q = [0] * (len(f) - dh)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + dh] // lead
+        q[i] = c
+        for j, b in terms:
+            r[i + j] -= c * b
+    return q
 
 
 def poly_gcd(a, b):
     """Monic gcd of two rational polynomials (zero if both are zero)."""
-    while not b.is_zero():
-        a, b = b, (a % b).monic()
-    return a.monic()
+    if a.is_zero() and b.is_zero():
+        return a
+    if a.is_zero() or b.is_zero():
+        h = _primitive((a or b).coeffs)[1]
+    else:
+        h = _gcd_parts(_primitive(a.coeffs)[1], _primitive(b.coeffs)[1])[0]
+    return _scaled(Fraction(1, h[-1]), h)
 
 
 class RatFunc:
@@ -221,16 +355,13 @@ class RatFunc:
             self.num = Polynomial(())
             self.den = Polynomial.one()
             return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        lead = den.leading
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den.monic()
-        self.num = num
-        self.den = den
+        cn, n = _primitive(num.coeffs)
+        cd, d = _primitive(den.coeffs)
+        if len(d) > 1:
+            _, n, d = _gcd_parts(n, d)
+        lead = d[-1]
+        self.num = _scaled(cn / (cd * lead), n)
+        self.den = _scaled(Fraction(1, lead), d)
 
     @classmethod
     def zero(cls):
@@ -328,7 +459,7 @@ class RatFunc:
         # coprime num and monic den stay coprime and monic under powers
         out = RatFunc.__new__(RatFunc)
         out.num = self.num**k
-        out.den = self.den**k
+        out.den = self.den if self.den.degree == 0 else self.den**k
         return out
 
     def to_json(self):
@@ -422,21 +553,11 @@ def signed_sum(pieces):
 
 def _int_normalized(f):
     """Scale num and den of f by one positive rational so both have integer
-    coefficients with overall content 1.  Returns two Fraction tuples."""
-    coeffs = list(f.num.coeffs) + list(f.den.coeffs)
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // _int_gcd(denom_lcm, c.denominator)
-    scaled = [c * denom_lcm for c in coeffs]
-    content = 0
-    for c in scaled:
-        content = _int_gcd(content, int(c))
-    if content == 0:
-        content = 1
-    s = Fraction(denom_lcm, content)
-    num = tuple(c * s for c in f.num.coeffs)
-    den = tuple(c * s for c in f.den.coeffs)
-    return num, den
+    coefficients with overall content 1.  Returns two integer lists."""
+    cn, num = _primitive(f.num.coeffs)
+    cd, den = _primitive(f.den.coeffs)  # cd > 0: the stored den is monic
+    r = cn / cd
+    return [r.numerator * c for c in num], [r.denominator * c for c in den]
 
 
 def _is_simple_term(text):

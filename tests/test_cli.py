@@ -177,13 +177,18 @@ def test_eval_degree_guard_error(capsys):
 
 
 def test_eval_high_multiplicity_sums_finish(capsys):
-    # a factor of high multiplicity, such as (l - 1)^64, made the Fraction
-    # coefficients of unnormalized gcd remainders explode: these sums took
-    # 13 s to over 40 s before the remainders were made monic
+    # a factor of high multiplicity, such as (l - 1)^64, made Euclid over
+    # Fraction coefficients explode.  Monic remainders brought the first
+    # three down from 13 s to over 40 s; the last three took 20.6, 24.0 and
+    # 0.9 s until the gcd became GCDHEU on integer primitive parts, and each
+    # now takes a few hundredths of a second
     for text in (
         "[pt/Gm^32] + [pt/GL(8)]",
         "[pt/Gm^64] + [pt/GL(8)]",
         "[pt/GL(16)] + [pt/GL(13)] + [pt/GL(11)]",
+        "[pt/Gm^64] + [pt/GL(16)]",
+        "[P^64 / Gm^64] + [pt / GL(16)]",
+        "[A^64 * P^64 / Gm^64] * Gm^64",
     ):
         t0 = time.perf_counter()
         code, out, err = run_cli(capsys, "eval", text, "--json")

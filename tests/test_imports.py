@@ -1,7 +1,11 @@
-"""Every imported name is used in the module that imports it, and the
-package namespace is exactly the public lists of its modules."""
+"""Every imported name is used in the module that imports it, the package
+namespace is exactly the public lists of its modules, and the library
+imports nothing beyond the standard library and its declared
+dependencies."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -128,3 +132,48 @@ def test_only_guards_defines_size_guards():
         for line in defines_guard(ast.parse(path.read_text(), str(path))):
             found.append("%s:%d" % (path.relative_to(ROOT), line))
     assert not found, "size guard defined outside guards.py:\n" + "\n".join(found)
+
+
+def declared_dependencies():
+    """Import names of the runtime dependencies listed in pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text()
+    listed = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
+    return {name.replace("-", "_") for name in re.findall(r'"([A-Za-z0-9_.-]+)', listed)}
+
+
+def foreign_imports(tree, allowed):
+    """(line, module) for each absolute import whose top-level package is
+    neither in the standard library nor in `allowed`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names and top not in allowed:
+                found.append((node.lineno, name))
+    return found
+
+
+def test_dependency_scan_sees_foreign_imports():
+    src = (
+        "import os.path\nimport sympy\nfrom sympy.polys import x\nfrom . import ratfield\n"
+        "from .errors import E\nimport numpy as np\nfrom motivic import guards\n"
+    )
+    allowed = {"motivic", "numpy"}
+    assert foreign_imports(ast.parse(src), allowed) == [(2, "sympy"), (3, "sympy.polys")]
+
+
+def test_library_imports_only_stdlib_and_declared_dependencies():
+    # sympy and the like are sources of technique, not dependencies
+    allowed = {"motivic"} | declared_dependencies()
+    assert "numpy" in allowed
+    found = []
+    for path in sorted((ROOT / "src" / "motivic").glob("*.py")):
+        for line, name in foreign_imports(ast.parse(path.read_text(), str(path)), allowed):
+            found.append("%s:%d: %s" % (path.relative_to(ROOT), line, name))
+    assert not found, "imports outside the standard library and pyproject.toml:\n" + "\n".join(found)

@@ -5,15 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motivic import ratfield
 from motivic.errors import DivisionByZero, PoleAtOne
 from motivic.ratfield import (
     ELL,
     ONE,
     Polynomial,
     RatFunc,
+    _exact_quo,
+    _mul_ints,
+    _primitive,
+    _prs_gcd,
     canonical_str,
     in_lambda_circ,
     pi_eval,
+    poly_gcd,
     specialize,
 )
 
@@ -156,3 +162,164 @@ def test_power_matches_repeated_product():
             if f:
                 assert f ** (-k) == ONE / product
             product = product * f
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction Euclid it replaced
+
+
+def _trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def oracle_divmod(a, b):
+    """Quotient and remainder of Fraction coefficient lists, long division."""
+    rem = [Fraction(c) for c in a]
+    d = len(b) - 1
+    q = [Fraction(0)] * max(len(rem) - d, 0)
+    for i in range(len(rem) - 1, d - 1, -1):
+        if rem[i]:
+            c = rem[i] / b[-1]
+            q[i - d] = c
+            for j, x in enumerate(b):
+                rem[i - d + j] -= c * x
+    return _trimmed(q), _trimmed(rem)
+
+
+def oracle_gcd(a, b):
+    """Monic gcd by Euclid over Q with monic remainders."""
+    a, b = _trimmed(a), _trimmed(b)
+    while b:
+        r = oracle_divmod(a, b)[1]
+        a, b = b, [c / r[-1] for c in r]
+    return [Fraction(c) / a[-1] for c in a]
+
+
+def oracle_reduce(num, den):
+    """(num, den) over their gcd with den monic, as Fraction tuples."""
+    num, den = _trimmed(num), _trimmed(den)
+    if not num:
+        return (), (Fraction(1),)
+    g = oracle_gcd(num, den)
+    num, den = oracle_divmod(num, g)[0], oracle_divmod(den, g)[0]
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly_power(a, k):
+    out = [1]
+    for _ in range(k):
+        out = schoolbook(out, a)
+    return out
+
+
+def test_oracle_reduces_by_hand():
+    # (l^2 - 1)/(2l - 2) = (l + 1)/2, stored as (l/2 + 1/2)/1
+    assert oracle_reduce([-1, 0, 1], [-2, 2]) == ((Fraction(1, 2), Fraction(1, 2)), (1,))
+    assert oracle_gcd([-1, 0, 1], [2, 3, 1]) == [1, 1]
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def shared_factor_pairs(draw):
+    """num and den sharing (l - 1)^k * (l^j - 1) * (l + 1)^i with k up to
+    64, times small cofactors with rational coefficients."""
+    common = poly_power([-1, 1], draw(st.integers(0, 64)))
+    common = schoolbook(common, [-1] + [0] * (draw(st.integers(1, 16)) - 1) + [1])
+    common = schoolbook(common, poly_power([1, 1], draw(st.integers(0, 8))))
+    num = draw(st.lists(rationals, min_size=1, max_size=6).filter(lambda cs: any(cs)))
+    den = draw(st.lists(rationals, min_size=1, max_size=6).filter(lambda cs: any(cs)))
+    if draw(st.booleans()):
+        num = schoolbook(num, poly_power([-1, 1], draw(st.integers(0, 64))))
+    return schoolbook(num, common), schoolbook(den, common)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shared_factor_pairs())
+def test_reduction_matches_fraction_euclid(pair):
+    num, den = pair
+    f = RatFunc(Polynomial(num), Polynomial(den))
+    assert (f.num.coeffs, f.den.coeffs) == oracle_reduce(num, den)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shared_factor_pairs())
+def test_remainder_sequence_fallback_matches_fraction_euclid(pair):
+    # GCDHEU almost never fails on these inputs, so the fallback is run
+    # directly: the primitive remainder sequence alone, then the whole
+    # reduction with no evaluation point tried
+    num, den = pair
+    _, f = _primitive(Polynomial(num).coeffs)
+    _, g = _primitive(Polynomial(den).coeffs)
+    h = _prs_gcd(f, g)
+    assert [Fraction(c, h[-1]) for c in h] == oracle_gcd(num, den)
+    assert schoolbook(h, _exact_quo(f, h)) == f
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratfield, "_HEU_TRIES", 0)
+        r = RatFunc(Polynomial(num), Polynomial(den))
+    assert (r.num.coeffs, r.den.coeffs) == oracle_reduce(num, den)
+
+
+def test_poly_gcd_is_monic_and_handles_zero():
+    a = Polynomial(poly_power([-1, 1], 5))
+    b = Polynomial(schoolbook(poly_power([-1, 1], 3), [Fraction(1, 3), 2]))
+    assert poly_gcd(a, b) == Polynomial(poly_power([-1, 1], 3))
+    assert poly_gcd(Polynomial((2, 4)), Polynomial(())) == Polynomial((Fraction(1, 2), 1))
+    assert poly_gcd(Polynomial(()), Polynomial((3,))) == Polynomial((1,))
+    assert poly_gcd(Polynomial(()), Polynomial(())) == Polynomial(())
+
+
+def test_gcd_evaluation_point_clears_the_coefficients():
+    # l - 255 is 1 at l = 2^8, so an evaluation point that small would lose
+    # it from the integer gcd and report (l+1)(l-255), (l+2)(l-255) coprime
+    f = schoolbook([-255, 1], [1, 1])
+    g = schoolbook([-255, 1], [2, 1])
+    assert poly_gcd(Polynomial(f), Polynomial(g)) == Polynomial((-255, 1))
+    r = RatFunc(Polynomial(f), Polynomial(g))
+    assert (r.num, r.den) == (Polynomial((1, 1)), Polynomial((2, 1)))
+
+
+def near_bound(bits):
+    # signed values at and just below the magnitude 2^bits
+    top = 1 << bits
+    return st.one_of(st.sampled_from((top, -top, top - 1, 1 - top)), st.integers(-top, top))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 70).flatmap(lambda b: st.tuples(
+    st.lists(near_bound(b), min_size=1, max_size=12).filter(lambda cs: cs[-1]),
+    st.lists(near_bound(b), min_size=1, max_size=12).filter(lambda cs: cs[-1]),
+)))  # fmt: skip
+def test_kronecker_product_matches_schoolbook(pair):
+    a, b = pair
+    assert _mul_ints(a, b) == schoolbook(a, b)
+
+
+def test_kronecker_product_at_the_packing_bound():
+    # every middle coefficient reaches max|a| * max|b| * min(len), the
+    # bound the packing width is chosen from, with either sign
+    for bits in (0, 7, 8, 31, 64):
+        m = (1 << bits) - 1 or 1
+        for a, b in (([m] * 5, [m] * 5), ([-m] * 5, [m] * 3), ([m, -m] * 3, [-m] * 6)):
+            assert _mul_ints(a, b) == schoolbook(a, b)
+
+
+def test_products_of_constants_and_zero():
+    p = Polynomial((Fraction(-3, 2), 0, 5))
+    zero = Polynomial(())
+    assert p * zero == zero and zero * p == zero and zero * zero == zero
+    assert p * Polynomial((Fraction(2, 3),)) == Polynomial((-1, 0, Fraction(10, 3)))
+    assert Polynomial((7,)) * Polynomial((Fraction(-1, 7),)) == Polynomial((-1,))
+    assert _mul_ints([5], [-3]) == [-15]
