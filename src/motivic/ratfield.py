@@ -239,8 +239,8 @@ def _mul_ints(a, b):
 
 
 def _interpolate(v, k):
-    """The polynomial whose value at 2^k is v > 0 with balanced digits,
-    trimmed; its leading coefficient is positive."""
+    """The polynomial whose value at 2^k is v != 0 with balanced digits,
+    trimmed; its leading coefficient has the sign of v."""
     out = _unpack(v, k, v.bit_length() // k + 2)
     while not out[-1]:
         out.pop()
@@ -261,8 +261,10 @@ def _gcd_parts(f, g):
     With x >= 2 * min(max|f|, max|g|) + 2 a common divisor found this way is
     the gcd: a further common factor q would have q(x) dividing the content
     of the interpolant, which is at most x/2, while every common root lies
-    within 1 + min(max|f|, max|g|) of 0, so |q(x)| > x/2.  After six failed
-    points the primitive remainder sequence gives the gcd.
+    within 1 + min(max|f|, max|g|) of 0, so |q(x)| > x/2.  The bound covers
+    only one of f and g, so the other may vanish at x; such a point is
+    skipped.  After six failed points the primitive remainder sequence gives
+    the gcd.
     """
     if len(f) == 1 or len(g) == 1:
         return [1], f, g
@@ -270,15 +272,16 @@ def _gcd_parts(f, g):
     k = ((2 * norm + 2).bit_length() + 7) & ~7
     for _ in range(_HEU_TRIES):
         fx, gx = _pack(f, k), _pack(g, k)
-        h = _int_primitive(_interpolate(_int_gcd(fx, gx), k))[1]
-        if len(h) == 1:
-            return h, f, g
-        hx = _pack(h, k)
-        cf = _interpolate(fx // hx, k)
-        if _mul_ints(h, cf) == f:
-            cg = _interpolate(gx // hx, k)
-            if _mul_ints(h, cg) == g:
-                return h, cf, cg
+        if fx and gx:
+            h = _int_primitive(_interpolate(_int_gcd(fx, gx), k))[1]
+            if len(h) == 1:
+                return h, f, g
+            hx = _pack(h, k)
+            cf = _interpolate(fx // hx, k)
+            if _mul_ints(h, cf) == f:
+                cg = _interpolate(gx // hx, k)
+                if _mul_ints(h, cg) == g:
+                    return h, cf, cg
         k += (k // 32) * 8 + 8
     h = _prs_gcd(f, g)
     return h, _exact_quo(f, h), _exact_quo(g, h)
@@ -323,7 +326,11 @@ def _exact_quo(f, h):
 
 
 def poly_gcd(a, b):
-    """Monic gcd of two rational polynomials (zero if both are zero)."""
+    """Monic gcd of two rational polynomials (zero if both are zero).
+
+    No production path calls this: RatFunc reduces through `_gcd_parts`,
+    which also returns the cofactors.  It stays as the polynomial-level gcd
+    that `bench/tracer.py` wraps."""
     if a.is_zero() and b.is_zero():
         return a
     if a.is_zero() or b.is_zero():

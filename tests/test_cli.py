@@ -197,6 +197,16 @@ def test_eval_high_multiplicity_sums_finish(capsys):
         assert json.loads(out)["input"] == text
 
 
+def test_eval_root_at_the_gcd_evaluation_point(capsys):
+    # l - 256 vanishes at 2^8, the first point the gcd of l - 256 and l - 1
+    # is evaluated at
+    text = "(A^1 - (pt+pt)^8) / Gm"
+    assert run_cli(capsys, "eval", text) == (0, "(l - 256)/(l - 1)\n", "")
+    code, out, err = run_cli(capsys, "eval", text, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["class"] == {"num": ["-256", "1"], "den": ["-1", "1"]}
+
+
 def test_eval_deep_nesting_is_a_guard_error(capsys):
     text = "(" * 3000 + "pt" + ")" * 3000
     code, out, err = run_cli(capsys, "eval", text, "--json")

@@ -289,6 +289,44 @@ def test_gcd_evaluation_point_clears_the_coefficients():
     assert poly_gcd(Polynomial(f), Polynomial(g)) == Polynomial((-255, 1))
     r = RatFunc(Polynomial(f), Polynomial(g))
     assert (r.num, r.den) == (Polynomial((1, 1)), Polynomial((2, 1)))
+    # the first point is chosen from the smaller side alone, so it is 2^8
+    # here and l - 256 vanishes there: that point is skipped, not used
+    for den in ((-1, 1), (1, 1)):
+        r = RatFunc(Polynomial((-256, 1)), Polynomial(den))
+        assert (r.num, r.den) == (Polynomial((-256, 1)), Polynomial(den))
+        r = RatFunc(Polynomial(den), Polynomial((-256, 1)))
+        assert (r.num, r.den) == (Polynomial(den), Polynomial((-256, 1)))
+        assert poly_gcd(Polynomial((-256, 1)), Polynomial(den)) == Polynomial((1,))
+
+
+# roots at and next to the points GCDHEU evaluates at, and far beyond them
+point_roots = st.one_of(
+    st.sampled_from((1 << 8, 1 << 16, 1 << 24, (1 << 8) - 1, (1 << 8) + 1, (1 << 16) + 1)),
+    st.integers(1 << 8, 1 << 80),
+)
+
+
+# small integer cofactors keep the first point at 2^8
+cofactors = st.lists(st.one_of(st.integers(-20, 20), rationals), min_size=1, max_size=4).filter(any)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cofactors,
+    cofactors,
+    st.lists(st.tuples(point_roots, st.booleans(), st.sampled_from("nds")), min_size=1, max_size=3),
+)
+def test_reduction_with_roots_near_the_evaluation_point(num, den, roots):
+    # each (l - c), c = +-root, goes into the numerator, the denominator or
+    # both, so one side may vanish at the point chosen from the other
+    for c, negative, side in roots:
+        factor = [c if negative else -c, 1]
+        if side in "ns":
+            num = schoolbook(num, factor)
+        if side in "ds":
+            den = schoolbook(den, factor)
+    f = RatFunc(Polynomial(num), Polynomial(den))
+    assert (f.num.coeffs, f.den.coeffs) == oracle_reduce(num, den)
 
 
 def near_bound(bits):
