@@ -216,15 +216,9 @@ def upsilon_group(g):
         return order * (ELL - 1) ** g.cls.torus_rank
     if isinstance(g, GeneralLinear):
         m = g.m
-        acc = ELL ** (m * (m - 1) // 2)
-        for k in range(1, m + 1):
-            acc = acc * (ELL**k - 1)
-        return acc
+        return prod((ELL**k - 1 for k in range(1, m + 1)), start=ELL ** (m * (m - 1) // 2))
     if isinstance(g, Product):
-        acc = ONE
-        for f in g.factors:
-            acc = acc * upsilon_group(f)
-        return acc
+        return prod((upsilon_group(f) for f in g.factors), start=ONE)
     raise TypeError("not a group descriptor: %r" % (g,))
 
 

@@ -76,10 +76,7 @@ class _BarElem:
         items = terms.items() if isinstance(terms, dict) else terms
         for cls, coeff in items:
             coeff = self._coerce(coeff)
-            if cls in acc:
-                acc[cls] = acc[cls] + coeff
-            else:
-                acc[cls] = coeff
+            acc[cls] = acc[cls] + coeff if cls in acc else coeff
         self.terms = {c: v for c, v in acc.items() if v}
 
     @classmethod
@@ -232,10 +229,7 @@ class WeightFn:
         )
 
     def _rank_value(self, rank):
-        for r, v in self.rank_weights:
-            if r == rank:
-                return v
-        return self.default
+        return next((v for r, v in self.rank_weights if r == rank), self.default)
 
     def evaluate(self, group_class):
         """Value on an isomorphism class; depends only on the class."""

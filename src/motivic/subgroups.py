@@ -7,17 +7,18 @@ lattice sum, so everything reduces to integer row reduction and the
 canonical forms make equality, poset construction and Mobius tables
 deterministic.
 
-SubgroupPoset builds its incidence and Mobius tables eagerly; queries are
-read-only afterwards.  Both tables are computed in exact Python integers,
-with down-sets as bitmasks; numpy arrays only store the results.
+SubgroupPoset builds its incidence and Mobius tables eagerly, in exact
+Python integers with down-sets as bitmasks; numpy arrays only store them.
+Both need the family closed under intersection, since the incidence is
+read off its meet-irreducible members.  Queries are read-only afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, prod
-from operator import index
+from operator import and_, index
 
 import numpy as np
 
@@ -123,6 +124,15 @@ def _row_in_lattice(row, rows, pivots):
             if q:
                 v = [a - q * b for a, b in zip(v, r)]
     return all(x == 0 for x in v)
+
+
+def _down_key(rows, pivots):
+    """(rank, -pivot product) of an HNF lattice.  If subgroup a lies strictly
+    inside b, L(b) is a proper sublattice of L(a): of lower rank, or of equal
+    rank and so of the same Q-span and pivot columns, where projecting onto
+    those is injective and the pivot product, the projected determinant, is
+    [L(a):L(b)] times a's.  Either way b's key is the smaller."""
+    return (len(rows), -prod(r[c] for r, c in zip(rows, pivots)))
 
 
 def _bit_indices(mask):
@@ -266,10 +276,11 @@ class SubgroupPoset:
     """A finite family of torus subgroups ordered by containment.
 
     The caller guarantees the family is closed under pairwise intersection
-    (poset_close produces such families); verify_intersection_closed is
-    available for tests.  Incidence and the full Mobius table are built at
-    construction, so all queries afterwards are read-only and safe to share
-    across threads.
+    (poset_close produces such families; verify_intersection_closed checks
+    it in tests): the incidence is read off the meet-irreducible members,
+    so the tables of a family that is not closed are wrong.  Both tables
+    are built at construction, so all queries afterwards are read-only and
+    safe to share across threads.
     """
 
     def __init__(self, elements, top):
@@ -292,11 +303,13 @@ class SubgroupPoset:
         self.elements = elements
         self.top = top
         self._index = index
-        self._top_idx = index[top]
         n = len(elements)
-        downs = self._down_sets()
-        if len(downs[self._top_idx]) != n:
-            raise ValueError("top does not contain every element")
+        pivots = [_pivot_cols(e.char_lattice) for e in elements]
+        # the walk in _down_sets takes this for granted, so test it here
+        for e, piv in zip(elements, pivots):
+            if not all(_row_in_lattice(row, e.char_lattice, piv) for row in top.char_lattice):
+                raise ValueError("top does not contain every element")
+        downs = self._down_sets(pivots)
         self._leq = np.zeros((n, n), dtype=bool)
         for b, down in enumerate(downs):
             self._leq[down, b] = True
@@ -304,33 +317,38 @@ class SubgroupPoset:
 
     # -- construction helpers
 
-    def _down_sets(self):
+    def _down_sets(self, pivots):
         """For each element b, the indices of the elements a inside b.
 
-        a lies in b iff every row of L(b) lies in L(a).  Each distinct row
-        is tested once against every lattice, giving the bitmask of the
-        lattices that hold it; the down-set of b is the AND of the masks
-        of its rows (everything, when L(b) is zero).
+        In an intersection-closed family each element is the meet of the
+        meet-irreducibles (generators) containing it, so the down-set of b
+        is the AND of the below-masks of the generators containing b.  The
+        walk goes top-down in _down_key order, so those come before b, and
+        b is a new generator iff some earlier element, counted among its
+        own generators, lies in exactly the same ones.  A generator's rows
+        are tested against L(b) only if its pivot columns are among b's, as
+        those of any sublattice are.
         """
-        elements = self.elements
-        pivots = [_pivot_cols(e.char_lattice) for e in elements]
-        holders = {}
-        for e in elements:
-            for row in e.char_lattice:
-                if row not in holders:
-                    holders[row] = sum(
-                        1 << a
-                        for a, f in enumerate(elements)
-                        if _row_in_lattice(row, f.char_lattice, pivots[a])
-                    )
-        everything = (1 << len(elements)) - 1
-        downs = []
-        for e in elements:
-            mask = everything
-            for row in e.char_lattice:
-                mask &= holders[row]
-            downs.append(_bit_indices(mask))
-        return downs
+        n = len(self.elements)
+        lattices = [e.char_lattice for e in self.elements]
+        cols = [sum(1 << c for c in piv) for piv in pivots]
+        order = sorted(range(n), key=lambda i: _down_key(lattices[i], pivots[i]))
+        gens, below, over, seen = [], [], [0] * n, set()
+        for e in order:
+            lat, piv, col = lattices[e], pivots[e], cols[e]
+            mask = 0
+            for j, g in enumerate(gens):
+                if not cols[g] & ~col and all(_row_in_lattice(r, lat, piv) for r in lattices[g]):
+                    mask |= 1 << j
+                    below[j] |= 1 << e
+            if mask in seen:
+                mask |= 1 << len(gens)
+                gens.append(e)
+                below.append(1 << e)
+            seen.add(mask)
+            over[e] = mask
+        downs = (reduce(and_, (below[j] for j in _bit_indices(m)), (1 << n) - 1) for m in over)
+        return [_bit_indices(down) for down in downs]
 
     def _build_mobius(self, downs):
         """Mobius table column by column, in Python integers:
@@ -401,11 +419,8 @@ class SubgroupPoset:
                 "down-set has %d elements; crosscut guard is %d" % (len(down), CROSSCUT_GUARD)
             )
         # meet table inside the down-set, by poset index
-        meet = {}
-        for i in down:
-            for j in down:
-                s = self.elements[i].intersect(self.elements[j])
-                meet[(i, j)] = self.index_of(s)
+        els = self.elements
+        meet = {(i, j): self.index_of(els[i].intersect(els[j])) for i in down for j in down}
         others = [i for i in down if i != iup]
         total = 0
 
@@ -422,11 +437,8 @@ class SubgroupPoset:
         return total
 
     def verify_intersection_closed(self):
-        for i, a in enumerate(self.elements):
-            for b in self.elements[i + 1 :]:
-                if a.intersect(b) not in self._index:
-                    return False
-        return True
+        els = self.elements
+        return all(a.intersect(b) in self._index for i, a in enumerate(els) for b in els[i + 1 :])
 
 
 def _order_key(e):

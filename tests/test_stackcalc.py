@@ -1,5 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations, product
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -294,6 +297,101 @@ def test_pi_re_examples():
     assert total == model_total_upsilon(m)
     with pytest.raises(NotAbelian):
         pi_re_n(gl2_flag_model(), 1)
+
+
+# ---------------------------------------------------------------------------
+# the hand-made strata against point counts over F_q
+
+
+def _support(v):
+    return tuple(i for i, x in enumerate(v) if x)
+
+
+def _normalized(v, q):
+    """The vector on the line of v with first nonzero entry 1."""
+    inv = pow(next(x for x in v if x), -1, q)
+    return tuple(x * inv % q for x in v)
+
+
+def _det_mod(rows, q):
+    """Determinant mod q, by expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0] % q
+    total = 0
+    for j, a in enumerate(rows[0]):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        total += (-1) ** j * a * _det_mod(minor, q)
+    return total % q
+
+
+def flag_points(n, q):
+    """(points, action, support, stabilizer) for GL(n)/T: its F_q-points
+    are the ordered n-tuples of independent lines, the diagonal torus moves
+    each line, and t fixes the line of v iff t_i = t_j for all i, j in the
+    support of v."""
+    lines = sorted({_normalized(v, q) for v in product(range(q), repeat=n) if any(v)})
+    points = [p for p in permutations(lines, n) if _det_mod(p, q)]
+
+    def act(t, p):
+        return tuple(_normalized([a * x for a, x in zip(t, v)], q) for v in p)
+
+    def stabilizer(supports):
+        rows = [tuple((i == s[0]) - (i == j) for i in range(n)) for s in supports for j in s[1:]]
+        return TorusSubgroup(n, tuple(rows))
+
+    return points, act, lambda p: tuple(map(_support, p)), stabilizer
+
+
+def affine_points(weights, q):
+    """(points, action, support, stabilizer) for the affine space on which
+    the torus acts through the characters weights, one per coordinate: t
+    fixes x iff every weight on the support of x is 1 at t."""
+
+    def act(t, x):
+        chars = [prod(pow(a, k, q) for a, k in zip(t, w)) for w in weights]
+        return tuple(c * x_i % q for c, x_i in zip(chars, x))
+
+    def stabilizer(support):
+        return TorusSubgroup(len(weights[0]), tuple(weights[i] for i in support))
+
+    return list(product(range(q), repeat=len(weights))), act, _support, stabilizer
+
+
+def assert_strata_count_points(model, q, points, act, support, stabilizer):
+    """Group the points by the exact stabilizer their support gives: each
+    group has the size of its stratum class at l = q.  For one point of
+    each support, the torus elements fixing it are as many as the F_q-points
+    of that stabilizer, (q - 1)^rank * prod gcd(d, q - 1)."""
+    by_support, example = Counter(), {}
+    for p in points:
+        by_support[support(p)] += 1
+        example.setdefault(support(p), p)
+    torus = list(product(range(1, q), repeat=model.ambient_rank))
+    counts = Counter()
+    for key, count in by_support.items():
+        stab = stabilizer(key)
+        counts[stab] += count
+        iso = stab.iso_class()
+        p = example[key]
+        fixing = sum(act(t, p) == p for t in torus)
+        assert fixing == (q - 1) ** iso.torus_rank * prod(gcd(d, q - 1) for d in iso.torsion)
+    assert counts == {s: cls.num.eval_at(q) / cls.den.eval_at(q) for s, cls in model.strata}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("n, make", [(2, gl2_flag_model), (3, gl3_flag_model)])
+def test_flag_model_strata_count_points(n, make, q):
+    assert_strata_count_points(make(), q, *flag_points(n, q))
+
+
+# odd q only: over F_2 the group mu_2 has one point, like the trivial group
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize(
+    "weights, make",
+    [(((2,),), torus_weighted_line_model), (((1, 0), (0, 1)), torus_plane_model)],
+)
+def test_torus_model_strata_count_points(weights, make, q):
+    assert_strata_count_points(make(), q, *affine_points(weights, q))
 
 
 def test_model_validation():

@@ -13,10 +13,13 @@ from motivic.groups import GeneralLinear, PartitionLattice, SetPartition
 from motivic.stackcalc import WeightFn
 from motivic.subgroups import (
     AbelianGroupClass,
+    SubgroupPoset,
     TorusSubgroup,
     hnf,
+    _down_key,
     _iso_class_cached,
     _order_key,
+    _pivot_cols,
     poset_close,
     snf_divisors,
 )
@@ -350,6 +353,16 @@ def test_iterable_arguments_are_read_once():
     assert len(poset_close(iter(seeds), TorusSubgroup.full_torus(2))) == 4
 
 
+def test_top_must_contain_every_element():
+    x, y = TorusSubgroup(2, ((1, 0),)), TorusSubgroup(2, ((0, 1),))
+    trivial = x.intersect(y)
+    with pytest.raises(ValueError, match="top does not contain every element"):
+        SubgroupPoset([x, y, trivial], x)
+    # a top below the full torus is fine when it holds everything
+    p = SubgroupPoset([trivial, x], x)
+    assert p.leq(trivial, x) and not p.leq(x, trivial)
+
+
 def test_poset_validation():
     top = TorusSubgroup.full_torus(2)
     with pytest.raises(AmbientMismatch):
@@ -516,3 +529,46 @@ def test_mobius_table_needs_no_smith_form():
     _iso_class_cached.cache_clear()
     PartitionLattice(5)
     assert _iso_class_cached.cache_info().currsize == 0
+
+
+def torsion_families(seed, count):
+    """Seeded intersection-closed families in ranks 1-4 whose one- and
+    two-row seeds have entries in [-4, 4], so most have torsion and strict
+    containments at equal dimension; elements come in shuffled order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 4)
+        seeds = [
+            TorusSubgroup(m, tuple(random_row(rng, m, 4) for _ in range(rng.randint(1, 2))))
+            for _ in range(rng.randint(1, 4))
+        ]
+        elements = list(poset_close(seeds, TorusSubgroup.full_torus(m)).elements)
+        rng.shuffle(elements)
+        yield elements
+
+
+def test_incidence_and_mobius_match_definitions_on_torsion_families():
+    with_torsion = 0
+    for elements in torsion_families(41, 120):
+        p = SubgroupPoset(elements, TorusSubgroup.full_torus(elements[0].ambient_rank))
+        assert p.elements == tuple(elements)
+        assert_tables_match_definitions(p)
+        with_torsion += any(e.iso_class().torsion for e in elements)
+    assert with_torsion >= 60
+
+
+def _down_key_of(e):
+    return _down_key(e.char_lattice, _pivot_cols(e.char_lattice))
+
+
+def test_down_key_is_strict_on_containment():
+    same_dim = 0
+    for elements in torsion_families(43, 120):
+        for a in elements:
+            for b in elements:
+                if a != b and b.contains(a):
+                    assert _down_key_of(a) > _down_key_of(b)
+                    same_dim += a.dim == b.dim
+    assert same_dim >= 100
+    # {x = 1} has index 2 in {x^2 = 1}, of the same dimension, so comes later
+    assert _down_key_of(TorusSubgroup(2, ((1, 0),))) > _down_key_of(TorusSubgroup(2, ((2, 0),)))
