@@ -164,9 +164,16 @@ def _tokenize(text):
                 i += len(kw)
                 break
         else:
-            raise ExprSyntaxError(i, _ATOM_STARTS | {"number", "operator"}, text[i])
+            expected = _ATOM_STARTS | {"number", "operator"}
+            raise ExprSyntaxError(_byte_offset(text, i), expected, text[i])
     tokens.append(("eof", None, n))
     return tokens
+
+
+def _byte_offset(text, i):
+    """UTF-8 byte offset of character i.  Text before an error position is
+    tokens and whitespace, so it holds no lone surrogate and encodes."""
+    return len(text[:i].encode("utf-8"))
 
 
 _ATOM_STARTS = {"A", "Gm", "P", "GL", "pt", "B", "(", "["}
@@ -206,7 +213,7 @@ class _Parser:
     def fail(self, expected):
         kind, value, pos = self.peek()
         found = None if kind == "eof" else str(value)
-        raise ExprSyntaxError(pos, expected, found)
+        raise ExprSyntaxError(_byte_offset(self.text, pos), expected, found)
 
     def expect(self, kind):
         if self.peek()[0] != kind:

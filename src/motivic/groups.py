@@ -54,6 +54,8 @@ class SetPartition:
 
     def __post_init__(self):
         object.__setattr__(self, "m", index(self.m))
+        if self.m < 1:
+            raise ValueError("set partitions need m >= 1")
         blocks = tuple(tuple(sorted(index(x) for x in b)) for b in self.blocks)
         blocks = tuple(sorted(blocks, key=lambda b: b[0]))
         seen = [x for b in blocks for x in b]

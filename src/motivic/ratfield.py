@@ -437,7 +437,7 @@ class RatFunc:
         return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return _value(other) - self
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -456,7 +456,7 @@ class RatFunc:
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        return _value(other) / self
 
     def __pow__(self, k):
         if k < 0:
@@ -493,6 +493,14 @@ def _coerce(x):
     return NotImplemented
 
 
+def _value(x):
+    """x as a RatFunc; TypeError, as from RatFunc(0.1), for anything else."""
+    out = _coerce(x)
+    if out is NotImplemented:
+        raise TypeError("not a value in Q(l): %r" % (x,))
+    return out
+
+
 ELL = RatFunc.ell()
 ONE = RatFunc.one()
 ZERO = RatFunc.zero()
@@ -504,7 +512,7 @@ def in_lambda_circ(f):
     This is the membership test for the subring on which the l = 1
     evaluation is defined; sums and products of members stay members.
     """
-    return _coerce(f).den.eval_at(1) != 0
+    return _value(f).den.eval_at(1) != 0
 
 
 def pi_eval(f):
@@ -512,7 +520,7 @@ def pi_eval(f):
 
     Raises PoleAtOne when the reduced denominator vanishes at 1.
     """
-    f = _coerce(f)
+    f = _value(f)
     d = f.den.eval_at(1)
     if d == 0:
         raise PoleAtOne("pole at l = 1 in %s" % canonical_str(f))
@@ -574,7 +582,7 @@ def _is_simple_term(text):
 def _ratio_str(f, monomial):
     """The num/den text behind canonical_str and specialize; monomial(k)
     is the text of the image of l^k."""
-    f = _coerce(f)
+    f = _value(f)
     if f.is_zero():
         return "0"
     num, den = _int_normalized(f)

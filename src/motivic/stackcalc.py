@@ -301,6 +301,8 @@ class StratifiedModel:
             raise ValueError("model group must be GL(m) or a torus")
         if isinstance(self.group, Torus) and self.group.cls.torsion:
             raise ValueError("model torus must be split")
+        if self.ambient_rank < 1:
+            raise ValueError("model group must have positive rank")
         strata = []
         seen = set()
         for stab, cls in self.strata:
@@ -341,7 +343,7 @@ def pi_re_n(x, n):
     """
     if not isinstance(x.group, Torus):
         raise NotAbelian("real-rank projection needs an abelian model group")
-    kept = tuple((s, c) for s, c in x.strata if s.iso_class().torus_rank == n)
+    kept = tuple((s, c) for s, c in x.strata if s.dim == n)
     return StratifiedModel(x.group, kept)
 
 

@@ -11,6 +11,10 @@ SubgroupPoset builds its incidence and Mobius tables eagerly, in exact
 Python integers with down-sets as bitmasks; numpy arrays only store them.
 Both need the family closed under intersection, since the incidence is
 read off its meet-irreducible members.  Queries are read-only afterwards.
+
+One order serves every job: poset_close lists members bottom-up by
+_down_key, the incidence walk goes down it and the Mobius pass back up.
+None of them takes a Smith form; only iso_class does.
 """
 
 from __future__ import annotations
@@ -126,13 +130,15 @@ def _row_in_lattice(row, rows, pivots):
     return all(x == 0 for x in v)
 
 
-def _down_key(rows, pivots):
-    """(rank, -pivot product) of an HNF lattice.  If subgroup a lies strictly
-    inside b, L(b) is a proper sublattice of L(a): of lower rank, or of equal
-    rank and so of the same Q-span and pivot columns, where projecting onto
-    those is injective and the pivot product, the projected determinant, is
-    [L(a):L(b)] times a's.  Either way b's key is the smaller."""
-    return (len(rows), -prod(r[c] for r, c in zip(rows, pivots)))
+def _down_key(rows):
+    """(-rank, pivot product) of an HNF lattice, the one order of this module:
+    sorted by it, every subgroup comes after the subgroups inside it.  If a
+    lies strictly inside b, L(b) is a proper sublattice of L(a): of lower
+    rank, or of equal rank and so of the same Q-span and pivot columns,
+    where projecting onto those is injective and the pivot product, the
+    projected determinant, is [L(a):L(b)] times a's.  Either way a's key is
+    the smaller."""
+    return (-len(rows), prod(next(v for v in r if v) for r in rows))
 
 
 def _bit_indices(mask):
@@ -303,27 +309,27 @@ class SubgroupPoset:
         self.elements = elements
         self.top = top
         self._index = index
-        n = len(elements)
-        pivots = [_pivot_cols(e.char_lattice) for e in elements]
         # the walk in _down_sets takes this for granted, so test it here
-        for e, piv in zip(elements, pivots):
-            if not all(_row_in_lattice(row, e.char_lattice, piv) for row in top.char_lattice):
-                raise ValueError("top does not contain every element")
-        downs = self._down_sets(pivots)
+        if not all(top.contains(e) for e in elements):
+            raise ValueError("top does not contain every element")
+        n = len(elements)
+        # top-down: everything containing an element comes before it
+        order = sorted(range(n), key=lambda i: _down_key(elements[i].char_lattice), reverse=True)
+        downs = self._down_sets(order)
         self._leq = np.zeros((n, n), dtype=bool)
         for b, down in enumerate(downs):
             self._leq[down, b] = True
-        self._mu = self._build_mobius(downs)
+        self._mu = self._build_mobius(reversed(order), downs)
 
     # -- construction helpers
 
-    def _down_sets(self, pivots):
+    def _down_sets(self, order):
         """For each element b, the indices of the elements a inside b.
 
         In an intersection-closed family each element is the meet of the
         meet-irreducibles (generators) containing it, so the down-set of b
         is the AND of the below-masks of the generators containing b.  The
-        walk goes top-down in _down_key order, so those come before b, and
+        walk goes top-down through order, so those come before b, and
         b is a new generator iff some earlier element, counted among its
         own generators, lies in exactly the same ones.  A generator's rows
         are tested against L(b) only if its pivot columns are among b's, as
@@ -331,8 +337,8 @@ class SubgroupPoset:
         """
         n = len(self.elements)
         lattices = [e.char_lattice for e in self.elements]
+        pivots = [_pivot_cols(lat) for lat in lattices]
         cols = [sum(1 << c for c in piv) for piv in pivots]
-        order = sorted(range(n), key=lambda i: _down_key(lattices[i], pivots[i]))
         gens, below, over, seen = [], [], [0] * n, set()
         for e in order:
             lat, piv, col = lattices[e], pivots[e], cols[e]
@@ -350,14 +356,15 @@ class SubgroupPoset:
         downs = (reduce(and_, (below[j] for j in _bit_indices(m)), (1 << n) - 1) for m in over)
         return [_bit_indices(down) for down in downs]
 
-    def _build_mobius(self, downs):
+    def _build_mobius(self, order, downs):
         """Mobius table column by column, in Python integers:
         mu(b, b) = 1 and mu(a, b) = -sum of mu(a, c) over a <= c < b.  The
-        columns go by down-set size, a linear extension of containment."""
+        columns go bottom-up through order, so the column of each c < b is
+        done before b's."""
         n = len(self.elements)
         mu = np.zeros((n, n), dtype=object)
         cols = [None] * n
-        for b in sorted(range(n), key=lambda i: len(downs[i])):
+        for b in order:
             col = {b: 1}
             for c in downs[b]:
                 if c != b:
@@ -441,13 +448,6 @@ class SubgroupPoset:
         return all(a.intersect(b) in self._index for i, a in enumerate(els) for b in els[i + 1 :])
 
 
-def _order_key(e):
-    # a subgroup strictly inside another has strictly smaller (dim, torsion
-    # order), so sorting by this key gives a linear extension of containment
-    c = e.iso_class()
-    return (c.torus_rank, c.torsion_order(), e.char_lattice)
-
-
 def poset_close(seed, top):
     """Smallest intersection-closed family containing seed and top.
 
@@ -457,20 +457,19 @@ def poset_close(seed, top):
     costs one intersection per member and adds at least one member, so n
     members cost at most 1 + ... + (n-1) = C(n, 2) intersections.
 
-    Elements are ordered deterministically (dimension, torsion order,
-    lattice entries), so the resulting poset is reproducible.
+    Members are listed bottom-up by _down_key, that is by (dimension,
+    pivot product of the HNF lattice), ties broken by the HNF rows: a
+    member comes after every member inside it, and the order depends on
+    the family only, not on the order of the seeds.
     """
     seed = tuple(seed)  # read an iterable once
-    m = top.ambient_rank
-    for s in seed:
-        if s.ambient_rank != m:
-            raise AmbientMismatch("seed ambient rank differs from top")
-        if not top.contains(s):
-            raise ValueError("top does not contain every seed element")
+    # contains raises AmbientMismatch for a seed of another ambient rank
+    if not all(top.contains(s) for s in seed):
+        raise ValueError("top does not contain every seed element")
     family = {top}
     for s in seed:
         if s not in family:
             family |= {f.intersect(s) for f in family}
 
-    ordered = sorted(family, key=_order_key)
+    ordered = sorted(family, key=lambda e: (_down_key(e.char_lattice), e.char_lattice))
     return SubgroupPoset(ordered, top)

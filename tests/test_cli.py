@@ -1,7 +1,10 @@
 import json
 import time
+from pathlib import Path
 
 from motivic.cli import main
+
+GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens.json"
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +63,16 @@ def test_eval_syntax_error_json_position(capsys):
     data = json.loads(out)
     assert data["error"]["type"] == "ExprSyntaxError"
     assert data["error"]["position"] == 4
+
+
+def test_eval_syntax_error_position_is_a_utf8_byte_offset(capsys):
+    # the Arabic-Indic digit three and the e-acute take two bytes each
+    code, out, _ = run_cli(capsys, "eval", "A^\u0663 + \u00e9", "--json")
+    assert code == 2
+    assert json.loads(out)["error"]["position"] == 7
+    code, _, err = run_cli(capsys, "eval", "A^\u0663 + \u00e9")
+    assert code == 2
+    assert "offset 7:" in err
 
 
 def test_eval_guard_error(capsys):
@@ -239,3 +252,16 @@ def test_check_unknown_suite_usage_error(capsys):
 def test_usage_error(capsys):
     assert main([]) == 2
     assert main(["definitely-not-a-command"]) == 2
+
+
+def test_frozen_goldens_replay_byte_for_byte(capsys):
+    # every CLI command the benchmark froze, with its stdout and exit status
+    with open(GOLDENS) as fh:
+        goldens = json.load(fh)["cli"]
+    assert len(goldens) == 52
+    mismatches = []
+    for command, want in goldens.items():
+        code = main(command.split())
+        if (code, capsys.readouterr().out) != (want["exit"], want["stdout"]):
+            mismatches.append(command)
+    assert mismatches == []

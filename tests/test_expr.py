@@ -88,6 +88,7 @@ def syntax_error_position(text):
         ("Gm + ", 5),
         ("Gm * * Gm", 5),
         ("[pt / Gm", 8),
+        ("A^\u0663 +", 6),
     ],
 )
 def test_syntax_error_offsets(text, position):

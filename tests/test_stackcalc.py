@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motivic.errors import NotAbelian, PoleAtOne, TooLarge
-from motivic.groups import GeneralLinear, upsilon_group
+from motivic.groups import GeneralLinear, SetPartition, torus, upsilon_group
 from motivic.guards import MODEL_GL_GUARD
 from motivic.models import (
     gl2_flag_model,
@@ -18,7 +18,17 @@ from motivic.models import (
     torus_plane_model,
     torus_weighted_line_model,
 )
-from motivic.ratfield import ELL, ONE, Polynomial, RatFunc, ZERO
+from motivic.ratfield import (
+    ELL,
+    ONE,
+    Polynomial,
+    RatFunc,
+    ZERO,
+    canonical_str,
+    in_lambda_circ,
+    pi_eval,
+    specialize,
+)
 from motivic.stackcalc import (
     LambdaBarElem,
     OmegaBarElem,
@@ -398,10 +408,20 @@ def test_model_validation():
     dup = TorusSubgroup.full_torus(2)
     with pytest.raises(ValueError):
         StratifiedModel(GeneralLinear(2), ((dup, ONE), (dup, ONE)))
-    from motivic.groups import torus
-
     with pytest.raises(ValueError):
         StratifiedModel(torus(2, (2,)), ())
+
+
+def test_rank_zero_is_refused_at_construction():
+    # GL(0) does not exist, and a model on the rank-0 torus has no
+    # stabilizer subgroup (TorusSubgroup needs a positive ambient rank)
+    for build in (
+        lambda: SetPartition(0, ()),
+        lambda: SetPartition.from_json([]),
+        lambda: StratifiedModel(torus(0), ()),
+    ):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_rendering():
@@ -434,6 +454,12 @@ def test_values_are_exact_and_constants_hash_like_numbers():
         lambda: WeightFn(default="1/2"),
         lambda: WeightFn(rank_weights=((1, 0.5),)),
         lambda: StratifiedModel(GeneralLinear(1), ((TorusSubgroup.full_torus(1), 0.5),)),
+        lambda: in_lambda_circ(0.1),
+        lambda: pi_eval("1/3"),
+        lambda: canonical_str(None),
+        lambda: specialize(0.5, "poincare_z"),
+        lambda: 0.1 - ONE,
+        lambda: 0.1 / ONE,
     ]
     for build in refused:
         with pytest.raises(TypeError):

@@ -8,6 +8,7 @@ from operator import mul
 import numpy as np
 import pytest
 
+from motivic import subgroups
 from motivic.errors import AmbientMismatch, NotComparable, NotInPoset, TooLarge
 from motivic.groups import GeneralLinear, PartitionLattice, SetPartition
 from motivic.stackcalc import WeightFn
@@ -18,8 +19,6 @@ from motivic.subgroups import (
     hnf,
     _down_key,
     _iso_class_cached,
-    _order_key,
-    _pivot_cols,
     poset_close,
     snf_divisors,
 )
@@ -299,7 +298,8 @@ def random_row(rng, m, bound=2):
 
 def _pairwise_close(seed, top):
     """Oracle for poset_close: intersect every unordered pair of members of
-    a list that grows as new intersections are appended, then sort."""
+    a list that grows as new intersections are appended, then sort by the
+    module's one order."""
     family = {top}
     items = [top]
     for s in seed:
@@ -312,7 +312,7 @@ def _pairwise_close(seed, top):
             if c not in family:
                 family.add(c)
                 items.append(c)
-    return sorted(items, key=_order_key)
+    return sorted(items, key=lambda e: (_down_key(e.char_lattice), e.char_lattice))
 
 
 def test_poset_close_matches_pairwise_oracle():
@@ -524,13 +524,6 @@ def test_incidence_and_mobius_match_definitions():
     assert_tables_match_definitions(p)
 
 
-def test_mobius_table_needs_no_smith_form():
-    # the Mobius pass orders its columns by down-set size, not by iso class
-    _iso_class_cached.cache_clear()
-    PartitionLattice(5)
-    assert _iso_class_cached.cache_info().currsize == 0
-
-
 def torsion_families(seed, count):
     """Seeded intersection-closed families in ranks 1-4 whose one- and
     two-row seeds have entries in [-4, 4], so most have torsion and strict
@@ -558,7 +551,7 @@ def test_incidence_and_mobius_match_definitions_on_torsion_families():
 
 
 def _down_key_of(e):
-    return _down_key(e.char_lattice, _pivot_cols(e.char_lattice))
+    return _down_key(e.char_lattice)
 
 
 def test_down_key_is_strict_on_containment():
@@ -567,8 +560,44 @@ def test_down_key_is_strict_on_containment():
         for a in elements:
             for b in elements:
                 if a != b and b.contains(a):
-                    assert _down_key_of(a) > _down_key_of(b)
+                    assert _down_key_of(a) < _down_key_of(b)
                     same_dim += a.dim == b.dim
     assert same_dim >= 100
-    # {x = 1} has index 2 in {x^2 = 1}, of the same dimension, so comes later
-    assert _down_key_of(TorusSubgroup(2, ((1, 0),))) > _down_key_of(TorusSubgroup(2, ((2, 0),)))
+    # {x = 1} has index 2 in {x^2 = 1}, of the same dimension, so comes first
+    assert _down_key_of(TorusSubgroup(2, ((1, 0),))) < _down_key_of(TorusSubgroup(2, ((2, 0),)))
+
+
+def lattice_seeds(seed, count):
+    """Seed lists like the benchmark's lattice closures: seven one-row
+    subgroups of G_m^6 with entries in [-2, 2]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield [TorusSubgroup(6, (random_row(rng, 6),)) for _ in range(7)]
+
+
+def test_posets_need_no_smith_form(monkeypatch):
+    # building a poset orders its members by _down_key, never by iso class
+    def refuse(mat):
+        raise AssertionError("Smith form taken")
+
+    _iso_class_cached.cache_clear()
+    monkeypatch.setattr(subgroups, "snf_divisors", refuse)
+    for elements in torsion_families(47, 40):
+        poset_close(elements, TorusSubgroup.full_torus(elements[0].ambient_rank))
+    for seeds in lattice_seeds(53, 3):
+        poset_close(seeds, TorusSubgroup.full_torus(6))
+    PartitionLattice(5)
+    assert _iso_class_cached.cache_info().currsize == 0
+
+
+def test_poset_close_lists_members_bottom_up():
+    rng = random.Random(59)
+    for seeds in [*torsion_families(61, 60), *lattice_seeds(67, 2)]:
+        top = TorusSubgroup.full_torus(seeds[0].ambient_rank)
+        p = poset_close(seeds, top)
+        # a linear extension of containment: a inside b comes before b
+        for b, big in enumerate(p.elements):
+            assert not any(big.contains(a) for a in p.elements[b + 1 :])
+        shuffled = list(seeds)
+        rng.shuffle(shuffled)
+        assert poset_close(shuffled, top).elements == p.elements
