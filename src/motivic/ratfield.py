@@ -5,18 +5,20 @@ library bottoms out here.  Values are immutable and always kept in a
 canonical reduced form (denominator monic, gcd(num, den) = 1), so equality
 is plain component comparison and results are reproducible across runs.
 
-No floating point is used anywhere.  Coefficients are exact rationals
-(`fractions.Fraction`) at rest, but the arithmetic runs on integer primitive
-parts: a product is one big-integer product (Kronecker substitution), and
-the gcd that keeps a quotient reduced is the heuristic gcd GCDHEU of Char,
-Geddes and Gonnet (1989), with the primitive remainder sequence as its
-fallback.
+No floating point is used anywhere.  A polynomial is stored as a rational
+content times a primitive integer coefficient tuple, and the arithmetic runs
+on those integers: a product is one big-integer product (Kronecker
+substitution), and the gcd that keeps a quotient reduced is the heuristic
+gcd GCDHEU of Char, Geddes and Gonnet (1989), with the primitive remainder
+sequence as its fallback.  Fraction coefficients are only derived for
+output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from math import lcm
 from operator import index
 
 from .errors import DivisionByZero, PoleAtOne
@@ -41,20 +43,23 @@ def exact_fraction(c):
 
 
 class Polynomial:
-    """Dense univariate polynomial over Q, coefficients indexed by degree.
+    """Dense univariate polynomial over Q, stored as content * ints.
 
-    Trailing zero coefficients are stripped on construction, so the zero
-    polynomial is the empty tuple and ``degree`` returns the sentinel -1
-    for it (never fed into arithmetic shortcuts).
+    `ints` is a tuple of integers indexed by degree, with gcd 1 and a
+    positive last (leading) entry, and `content` is a nonzero Fraction.
+    The zero polynomial is content 0 with ints (), and ``degree`` returns
+    the sentinel -1 for it (never fed into arithmetic shortcuts).  The
+    Fraction coefficients are derived on demand, for output only.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("content", "ints")
 
     def __init__(self, coeffs=()):
         cs = [exact_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = lcm(*(c.denominator for c in cs))
+        self.content, self.ints = _primitive(
+            Fraction(1, den), [c.numerator * (den // c.denominator) for c in cs]
+        )
 
     @classmethod
     def one(cls):
@@ -65,34 +70,40 @@ class Polynomial:
         return cls((0, 1))
 
     @property
+    def coeffs(self):
+        """The coefficients as Fractions, lowest degree first."""
+        p, q = self.content.numerator, self.content.denominator
+        return tuple(Fraction(p * c, q) for c in self.ints)
+
+    @property
     def degree(self):
         """Degree, with -1 as the sentinel for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading(self):
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.content * self.ints[-1]
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self.content == other.content and self.ints == other.ints
         if isinstance(other, (int, Fraction)):
             return self == Polynomial((other,))
         return NotImplemented
 
     def __hash__(self):
-        # a constant hashes like the number it equals
+        # a constant has ints (1,) or (), so it hashes like the number it equals
         if self.degree > 0:
-            return hash(self.coeffs)
-        return hash(self.coeffs[0] if self.coeffs else 0)
+            return hash((self.content, self.ints))
+        return hash(self.content)
 
     def __repr__(self):
         return "Polynomial(%r)" % (self.coeffs,)
@@ -101,27 +112,31 @@ class Polynomial:
         return _poly_str(self.coeffs, _l_monomial)
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return _poly(-self.content, self.ints)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial((other,))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        # self + other = (content / r.den) * (r.den * ints + r.num * other.ints)
+        r = other.content / self.content
+        a = [r.denominator * c for c in self.ints]
+        b = [r.numerator * c for c in other.ints]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            a[i] += c
+        return _poly(*_primitive(self.content / r.denominator, a))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial((other,))
-        if not isinstance(other, Polynomial):
+        if not isinstance(other, (int, Fraction, Polynomial)):
             return NotImplemented
         return self + (-other)
 
@@ -131,14 +146,13 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = exact_fraction(other)
-            return Polynomial(tuple(c * a for a in self.coeffs))
+            return _poly(self.content * c, self.ints) if c else Polynomial(())
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Polynomial(())
-        ca, a = _primitive(self.coeffs)
-        cb, b = _primitive(other.coeffs)
-        return _scaled(ca * cb, _mul_ints(a, b))
+        # Gauss's lemma: a product of primitive parts is primitive
+        return _poly(self.content * other.content, _mul_ints(self.ints, other.ints))
 
     __rmul__ = __mul__
 
@@ -156,29 +170,37 @@ class Polynomial:
         return result
 
     def eval_at(self, x):
+        """The value at x, a Fraction: Horner over the integers on x = p/q,
+        carrying q^k along so the one division comes last."""
         x = exact_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        acc, den = 0, 1
+        for c in reversed(self.ints):
+            acc, den = acc * x.numerator + c * den, den * x.denominator
+        return self.content * Fraction(acc * x.denominator, den)
 
 
 # ---------------------------------------------------------------------------
-# the integer kernel: coefficient lists of ints, lowest degree first, with a
-# nonzero last entry
+# the integer kernel: sequences of ints, lowest degree first, with a nonzero
+# last entry
 
 
-def _primitive(coeffs):
-    """Split a nonzero Fraction coefficient sequence into (content, ints):
-    coeffs = content * ints, where ints are integers with gcd 1 and a
-    positive last (leading) entry, and content is a Fraction."""
-    den = 1
-    for c in coeffs:
-        d = c.denominator
-        if den % d:
-            den = den * d // _int_gcd(den, d)
-    g, ints = _int_primitive([c.numerator * (den // c.denominator) for c in coeffs])
-    return Fraction(g, den), ints
+def _poly(content, ints):
+    """The Polynomial with the stored parts content and ints, as given."""
+    out = Polynomial.__new__(Polynomial)
+    out.content, out.ints = content, tuple(ints)
+    return out
+
+
+def _primitive(scale, ints):
+    """Stored parts (content, ints) of the polynomial scale * ints, for a
+    nonzero Fraction scale and an integer list that may end in zeros, which
+    are popped."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return Fraction(0), ()
+    g, ints = _int_primitive(ints)
+    return scale * g, tuple(ints)
 
 
 def _int_primitive(ints):
@@ -188,17 +210,6 @@ def _int_primitive(ints):
     if ints[-1] < 0:
         g = -g
     return g, (ints if g == 1 else [c // g for c in ints])
-
-
-def _scaled(s, ints):
-    """The Polynomial s * ints, for a nonzero Fraction s."""
-    p, q = s.numerator, s.denominator
-    out = Polynomial.__new__(Polynomial)
-    if q == 1:
-        out.coeffs = tuple(Fraction(p * c) for c in ints)
-    else:
-        out.coeffs = tuple(Fraction(p * c, q) for c in ints)
-    return out
 
 
 def _pack(ints, k):
@@ -252,7 +263,7 @@ _HEU_TRIES = 6
 
 
 def _gcd_parts(f, g):
-    """(h, f/h, g/h) for primitive integer lists f and g with positive
+    """(h, f/h, g/h) for primitive integer sequences f and g with positive
     leading coefficients, where h is their gcd (primitive, positive
     leading coefficient).
 
@@ -268,6 +279,7 @@ def _gcd_parts(f, g):
     """
     if len(f) == 1 or len(g) == 1:
         return [1], f, g
+    f, g = list(f), list(g)  # stored tuples: a list never equals a tuple
     norm = min(max(map(abs, f)), max(map(abs, g)))
     k = ((2 * norm + 2).bit_length() + 7) & ~7
     for _ in range(_HEU_TRIES):
@@ -331,13 +343,11 @@ def poly_gcd(a, b):
     No production path calls this: RatFunc reduces through `_gcd_parts`,
     which also returns the cofactors.  It stays as the polynomial-level gcd
     that `bench/tracer.py` wraps."""
-    if a.is_zero() and b.is_zero():
-        return a
     if a.is_zero() or b.is_zero():
-        h = _primitive((a or b).coeffs)[1]
+        h = (a or b).ints
     else:
-        h = _gcd_parts(_primitive(a.coeffs)[1], _primitive(b.coeffs)[1])[0]
-    return _scaled(Fraction(1, h[-1]), h)
+        h = _gcd_parts(a.ints, b.ints)[0]
+    return _poly(Fraction(1, h[-1]), h) if h else a
 
 
 class RatFunc:
@@ -359,16 +369,13 @@ class RatFunc:
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
         if num.is_zero():
-            self.num = Polynomial(())
-            self.den = Polynomial.one()
-            return
-        cn, n = _primitive(num.coeffs)
-        cd, d = _primitive(den.coeffs)
+            den = Polynomial.one()  # zero is stored as 0/1
+        n, d = num.ints, den.ints
         if len(d) > 1:
             _, n, d = _gcd_parts(n, d)
         lead = d[-1]
-        self.num = _scaled(cn / (cd * lead), n)
-        self.den = _scaled(Fraction(1, lead), d)
+        self.num = _poly(num.content / (den.content * lead), n)
+        self.den = _poly(Fraction(1, lead), d)
 
     @classmethod
     def zero(cls):
@@ -391,9 +398,7 @@ class RatFunc:
     def as_fraction(self):
         if not self.is_constant():
             raise ValueError("%s is not a constant" % self)
-        if self.is_zero():
-            return Fraction(0)
-        return self.num.coeffs[0]
+        return self.num.content  # the ints of a constant are (1,) or ()
 
     def __bool__(self):
         return not self.is_zero()
@@ -486,9 +491,7 @@ class RatFunc:
 def _coerce(x):
     if isinstance(x, RatFunc):
         return x
-    if isinstance(x, (int, Fraction)):
-        return RatFunc(Polynomial((x,)))
-    if isinstance(x, Polynomial):
+    if isinstance(x, (int, Fraction, Polynomial)):
         return RatFunc(x)
     return NotImplemented
 
@@ -568,11 +571,10 @@ def signed_sum(pieces):
 
 def _int_normalized(f):
     """Scale num and den of f by one positive rational so both have integer
-    coefficients with overall content 1.  Returns two integer lists."""
-    cn, num = _primitive(f.num.coeffs)
-    cd, den = _primitive(f.den.coeffs)  # cd > 0: the stored den is monic
-    r = cn / cd
-    return [r.numerator * c for c in num], [r.denominator * c for c in den]
+    coefficients with overall content 1.  Returns two integer lists, [] and
+    [1] for zero."""
+    r = f.num.content / f.den.content  # den.content > 0: the stored den is monic
+    return [r.numerator * c for c in f.num.ints], [r.denominator * c for c in f.den.ints]
 
 
 def _is_simple_term(text):
@@ -582,10 +584,7 @@ def _is_simple_term(text):
 def _ratio_str(f, monomial):
     """The num/den text behind canonical_str and specialize; monomial(k)
     is the text of the image of l^k."""
-    f = _value(f)
-    if f.is_zero():
-        return "0"
-    num, den = _int_normalized(f)
+    num, den = _int_normalized(_value(f))
     num_s = _poly_str(num, monomial)
     if len(den) == 1 and den[0] == 1:
         return num_s

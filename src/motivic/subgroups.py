@@ -237,6 +237,7 @@ class TorusSubgroup:
         return self.ambient_rank - len(self.char_lattice)
 
     def _same_ambient(self, other):
+        _require_subgroups((other,))
         if self.ambient_rank != other.ambient_rank:
             raise AmbientMismatch(
                 "ambient ranks differ: %d vs %d" % (self.ambient_rank, other.ambient_rank)
@@ -268,6 +269,13 @@ class TorusSubgroup:
         return "Subgroup(%d, %s)" % (self.ambient_rank, list(map(list, self.char_lattice)))
 
 
+def _require_subgroups(items):
+    """TypeError, like the other constructors raise, for a non-subgroup."""
+    for x in items:
+        if not isinstance(x, TorusSubgroup):
+            raise TypeError("not a torus subgroup: %r" % (x,))
+
+
 @lru_cache(maxsize=None)
 def _iso_class_cached(s):
     tors = tuple(d for d in snf_divisors(s.char_lattice) if d > 1)
@@ -293,6 +301,7 @@ class SubgroupPoset:
         elements = tuple(elements)
         if not elements:
             raise ValueError("poset needs at least one element")
+        _require_subgroups(elements + (top,))
         m = elements[0].ambient_rank
         if any(e.ambient_rank != m for e in elements):
             raise AmbientMismatch("mixed ambient ranks in poset")
@@ -463,7 +472,9 @@ def poset_close(seed, top):
     the family only, not on the order of the seeds.
     """
     seed = tuple(seed)  # read an iterable once
+    _require_subgroups((top,))
     # contains raises AmbientMismatch for a seed of another ambient rank
+    # and TypeError for a non-subgroup
     if not all(top.contains(s) for s in seed):
         raise ValueError("top does not contain every seed element")
     family = {top}

@@ -2,6 +2,7 @@ import json
 import time
 from pathlib import Path
 
+from motivic import ratfield
 from motivic.cli import main
 
 GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens.json"
@@ -189,25 +190,57 @@ def test_eval_degree_guard_error(capsys):
     assert err == ""
 
 
+# a factor of high multiplicity, such as (l - 1)^64, made Euclid over
+# Fraction coefficients explode.  Monic remainders brought the first three
+# down from 13 s to over 40 s; the last three took 20.6, 24.0 and 0.9 s
+# until the gcd became GCDHEU on integer primitive parts, and each now takes
+# a few hundredths of a second
+HIGH_MULTIPLICITY = (
+    "[pt/Gm^32] + [pt/GL(8)]",
+    "[pt/Gm^64] + [pt/GL(8)]",
+    "[pt/GL(16)] + [pt/GL(13)] + [pt/GL(11)]",
+    "[pt/Gm^64] + [pt/GL(16)]",
+    "[P^64 / Gm^64] + [pt / GL(16)]",
+    "[A^64 * P^64 / Gm^64] * Gm^64",
+)
+
+# two rounds of the benchmark's field workload at seed 1
+FIELD_ROUND = (
+    "GL(11)^3 * [P^4 / GL(8)]",
+    "[pt / GL(13)] * [pt / GL(12)] + [A^1 / GL(11)]",
+    "[A^2 / GL(13)] + [P^1 / GL(12)]",
+    "[A^2 / GL(12)] - [P^1 / (GL(11) * Gm)]",
+    "[A^2 / GL(11)] + [P^1 / GL(9)] + [pt / GL(8)]",
+    "[A^3 / GL(14)] + [P^3 / GL(13)]",
+    "GL(14)^2 * [P^6 / GL(9)]",
+    "BGL(12) * Gm^3 + [A^2 / GL(10)]",
+    "[A^1 / GL(10)] + [P^2 / GL(9)] + [pt / GL(8)]",
+    "[A^1 / GL(13)] - [P^3 / (GL(12) * (Gm^2))]",
+    "[pt / GL(15)] * [pt / GL(14)] + [A^2 / GL(12)]",
+    "[A^1 / GL(12)] + [P^2 / GL(10)]",
+)
+
+
 def test_eval_high_multiplicity_sums_finish(capsys):
-    # a factor of high multiplicity, such as (l - 1)^64, made Euclid over
-    # Fraction coefficients explode.  Monic remainders brought the first
-    # three down from 13 s to over 40 s; the last three took 20.6, 24.0 and
-    # 0.9 s until the gcd became GCDHEU on integer primitive parts, and each
-    # now takes a few hundredths of a second
-    for text in (
-        "[pt/Gm^32] + [pt/GL(8)]",
-        "[pt/Gm^64] + [pt/GL(8)]",
-        "[pt/GL(16)] + [pt/GL(13)] + [pt/GL(11)]",
-        "[pt/Gm^64] + [pt/GL(16)]",
-        "[P^64 / Gm^64] + [pt / GL(16)]",
-        "[A^64 * P^64 / Gm^64] * Gm^64",
-    ):
+    for text in HIGH_MULTIPLICITY:
         t0 = time.perf_counter()
         code, out, err = run_cli(capsys, "eval", text, "--json")
         assert time.perf_counter() - t0 < 5.0, text
         assert (code, err) == (0, "")
         assert json.loads(out)["input"] == text
+
+
+def test_eval_needs_no_remainder_sequence(capsys, monkeypatch):
+    # GCDHEU finds every gcd of these inputs at one of its evaluation
+    # points; a gcd that fell back to the remainder sequence would still be
+    # right, only slow, so the fallback is made to fail loudly here
+    def no_fallback(f, g):
+        raise AssertionError("remainder-sequence fallback taken")
+
+    monkeypatch.setattr(ratfield, "_prs_gcd", no_fallback)
+    for text in HIGH_MULTIPLICITY + FIELD_ROUND:
+        code, _, err = run_cli(capsys, "eval", text, "--json")
+        assert (code, err) == (0, ""), text
 
 
 def test_eval_root_at_the_gcd_evaluation_point(capsys):

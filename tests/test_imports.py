@@ -98,6 +98,43 @@ def test_only_ratfield_builds_polynomials():
     assert not found, "Polynomial named outside ratfield:\n" + "\n".join(found)
 
 
+# the parts of a stored Q(l) value: RatFunc.num and .den, Polynomial.coeffs
+# (derived) and its stored content and ints
+STORED_FORM = frozenset(("num", "den", "coeffs", "content", "ints"))
+
+
+def reads_stored_form(tree):
+    """(line, attribute) for each attribute access that reads a part of
+    the stored form of a Q(l) value."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in STORED_FORM:
+            found.add((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_stored_form_scan_sees_attribute_reads():
+    src = (
+        "a = f.num.degree\nb = g.den\nc = p.coeffs[0]\nd = num + den\n"
+        "e = x.content, y.ints\nh = q.numerator, q.denominator\n"
+    )
+    expected = [(1, "num"), (2, "den"), (3, "coeffs"), (5, "content"), (5, "ints")]
+    assert reads_stored_form(ast.parse(src)) == expected
+
+
+def test_only_ratfield_reads_the_stored_form():
+    # every other module reads Q(l) values through the RatFunc methods and
+    # ratfield's functions (canonical_str, specialize, pi_eval), so the
+    # stored form is one module's decision
+    found = []
+    for path in sorted((ROOT / "src" / "motivic").glob("*.py")):
+        if path.name == "ratfield.py":
+            continue
+        for line, attr in reads_stored_form(ast.parse(path.read_text(), str(path))):
+            found.append("%s:%d: .%s" % (path.relative_to(ROOT), line, attr))
+    assert not found, "stored form read outside ratfield:\n" + "\n".join(found)
+
+
 def defines_guard(tree):
     """Lines where a module binds a module-level name ending in _GUARD or
     _MAX by assignment."""

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from motivic.ratfield import (
     RatFunc,
     _exact_quo,
     _mul_ints,
-    _primitive,
     _prs_gcd,
     canonical_str,
     in_lambda_circ,
@@ -261,8 +261,8 @@ def test_remainder_sequence_fallback_matches_fraction_euclid(pair):
     # directly: the primitive remainder sequence alone, then the whole
     # reduction with no evaluation point tried
     num, den = pair
-    _, f = _primitive(Polynomial(num).coeffs)
-    _, g = _primitive(Polynomial(den).coeffs)
+    f = list(Polynomial(num).ints)
+    g = list(Polynomial(den).ints)
     h = _prs_gcd(f, g)
     assert [Fraction(c, h[-1]) for c in h] == oracle_gcd(num, den)
     assert schoolbook(h, _exact_quo(f, h)) == f
@@ -361,3 +361,63 @@ def test_products_of_constants_and_zero():
     assert p * Polynomial((Fraction(2, 3),)) == Polynomial((-1, 0, Fraction(10, 3)))
     assert Polynomial((7,)) * Polynomial((Fraction(-1, 7),)) == Polynomial((-1,))
     assert _mul_ints([5], [-3]) == [-15]
+
+
+# ---------------------------------------------------------------------------
+# the stored form (content, ints) against Fraction coefficient lists
+
+
+def assert_stored_form(p):
+    """content * ints with ints a tuple of ints, gcd 1 and a positive last
+    entry, content a nonzero Fraction; the zero polynomial is (0, ())."""
+    assert type(p.ints) is tuple and all(type(c) is int for c in p.ints)
+    if not p.ints:
+        assert p.content == 0
+        return
+    assert type(p.content) is Fraction and p.content != 0
+    assert gcd(*p.ints) == 1 and p.ints[-1] > 0
+
+
+def added(a, b):
+    n = max(len(a), len(b))
+    return _trimmed(x + y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b))))
+
+
+mixed_coeffs = st.lists(rationals, max_size=6)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """(a, b) as Fraction lists: unrelated, with the leading terms of a + b
+    cancelling, or with a + b = 0."""
+    a = draw(mixed_coeffs)
+    kind = draw(st.sampled_from(("free", "cancel", "negated")))
+    if kind == "negated":
+        return a, [-c for c in a]
+    b = draw(mixed_coeffs)
+    if kind == "cancel" and a:
+        b = (b + [Fraction(0)] * len(a))[: len(a)]
+        b[-1] = -a[-1]
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_pairs(), st.integers(0, 4), rationals)
+def test_polynomial_arithmetic_matches_fraction_lists(pair, k, x):
+    a, b = pair
+    pa, pb = Polynomial(a), Polynomial(b)
+    cases = (
+        (pa, a),
+        (pa + pb, added(a, b)),
+        (pa - pb, added(a, [-c for c in b])),
+        (-pa, [-c for c in a]),
+        (pa * pb, schoolbook(a, b)),
+        (pa * x, [c * x for c in a]),
+        (pa**k, poly_power(a, k)),
+    )
+    for got, want in cases:
+        assert_stored_form(got)
+        assert got.coeffs == tuple(_trimmed(want))
+        assert got == Polynomial(want) and hash(got) == hash(Polynomial(want))
+    assert pa.eval_at(x) == sum(c * x**i for i, c in enumerate(a))
+    assert Polynomial((x,)) == x and hash(Polynomial((x,))) == hash(x)

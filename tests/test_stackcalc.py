@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motivic.errors import NotAbelian, PoleAtOne, TooLarge
+from motivic.expr import eval_class, parse
 from motivic.groups import GeneralLinear, SetPartition, torus, upsilon_group
 from motivic.guards import MODEL_GL_GUARD
 from motivic.models import (
@@ -402,6 +403,43 @@ def test_flag_model_strata_count_points(n, make, q):
 )
 def test_torus_model_strata_count_points(weights, make, q):
     assert_strata_count_points(make(), q, *affine_points(weights, q))
+
+
+def point_count(cls, q):
+    """A class in Q(l) at l = q."""
+    return cls.num.eval_at(q) / cls.den.eval_at(q)
+
+
+def class_points(q):
+    """F_q-point counts of the grammar atoms and groups, by enumeration:
+    invertible matrices for GL(m), lines of F_q^(n+1) for P^n."""
+    vectors = {n: list(product(range(q), repeat=n)) for n in range(5)}
+    counts = {"pt": 1, "Gm": q - 1}
+    for n in range(4):
+        counts["A^%d" % n] = len(vectors[n])
+        counts["P^%d" % n] = len({_normalized(v, q) for v in vectors[n + 1] if any(v)})
+        counts["Gm^%d" % n] = len(list(product(range(1, q), repeat=n)))
+    for m in (1, 2, 3):
+        counts["GL(%d)" % m] = sum(1 for rows in product(vectors[m], repeat=m) if _det_mod(rows, q))
+    return counts
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_classes_count_points(q):
+    # a special group G has #[X/G](F_q) = #X(F_q) / #G(F_q); GL(m) and the
+    # split tori are special
+    counts = class_points(q)
+    assert counts["GL(3)"] == (q**3 - 1) * (q**3 - q) * (q**3 - q**2)
+    for text, count in counts.items():
+        assert point_count(eval_class(parse(text)), q) == count, text
+    spaces = [t for t in counts if t[0] in "AP"]
+    groups = [t for t in counts if t.startswith("GL") or t.startswith("Gm^")]
+    for x in spaces:
+        for g in groups:
+            text = "[%s / %s]" % (x, g)
+            assert point_count(eval_class(parse(text)), q) == Fraction(counts[x], counts[g]), text
+    for m in (1, 2, 3):
+        assert point_count(eval_class(parse("BGL(%d)" % m)), q) == Fraction(1, counts["GL(%d)" % m])
 
 
 def test_model_validation():

@@ -174,6 +174,24 @@ def test_non_integral_ranks_are_refused():
     assert SetPartition(2, ((np.int64(2), True),)) == SetPartition.one_block(2)
 
 
+def test_non_subgroups_are_refused():
+    # a TypeError, as from the constructors, not an AttributeError
+    top = TorusSubgroup.full_torus(2)
+    for bad in (None, 2, ((1, 0),)):
+        with pytest.raises(TypeError):
+            top.intersect(bad)
+        with pytest.raises(TypeError):
+            top.contains(bad)
+        with pytest.raises(TypeError):
+            poset_close([bad], top)
+        with pytest.raises(TypeError):
+            poset_close([], bad)
+        with pytest.raises(TypeError):
+            SubgroupPoset([bad], top)
+        with pytest.raises(TypeError):
+            SubgroupPoset([top], bad)
+
+
 def test_hnf_invariant_under_unimodular_row_ops():
     rng = random.Random(29)
     for _ in range(80):
