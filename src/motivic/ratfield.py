@@ -10,12 +10,16 @@ content times a primitive integer coefficient tuple, and the arithmetic runs
 on those integers: a product is one big-integer product (Kronecker
 substitution), and the gcd that keeps a quotient reduced is the heuristic
 gcd GCDHEU of Char, Geddes and Gonnet (1989), with the primitive remainder
-sequence as its fallback.  Fraction coefficients are only derived for
-output.
+sequence as its fallback.  Both write coefficients into k-bit slots of one
+integer; nearly all slots are 1 to 8 bytes, so runs of more than 8 in a
+machine-word slot are converted as one array of unsigned words.  Fraction
+coefficients are only derived for output, and JSON is rendered without them.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd as _int_gcd
 from math import lcm
@@ -212,24 +216,57 @@ def _int_primitive(ints):
     return g, (ints if g == 1 else [c // g for c in ints])
 
 
+# typecode of the unsigned machine word of each byte width; the slots are
+# little-endian bytes, so a big-endian host converts every slot per digit
+_WORDS = {array(c).itemsize: c for c in "BHILQ"} if sys.byteorder == "little" else {}
+
+
+def _slot_bias(n, length):
+    """2^(8n - 1) in each of `length` slots of n bytes: the sum of the biases."""
+    return int.from_bytes((bytes(n - 1) + b"\x80") * length, "little")
+
+
 def _pack(ints, k):
-    """The value at 2^k of the polynomial with coefficients ints: Horner on
-    short runs, halves joined by one shift, so the cost stays near linear."""
+    """The value at 2^k of the polynomial with coefficients ints.  More than
+    8 coefficients in [-2^(k-1), 2^(k-1)) and machine-word slots are biased
+    to one array of unsigned words (which refuses any other coefficient)."""
+    code = _WORDS.get(k >> 3) if len(ints) > 8 else None
+    if code:
+        half = 1 << (k - 1)
+        try:
+            words = array(code, [c + half for c in ints])
+        except OverflowError:  # a coefficient outside the slot
+            pass
+        else:
+            return int.from_bytes(words, "little") - _slot_bias(k >> 3, len(ints))
+    return _pack_halves(ints, k)
+
+
+def _pack_halves(ints, k):
+    """`_pack` by Horner on short runs, halves joined by one shift, so the
+    cost stays near linear for any slot and coefficient size."""
     if len(ints) <= 8:
         v = 0
         for c in reversed(ints):
             v = (v << k) + c
         return v
     m = len(ints) // 2
-    return _pack(ints[:m], k) + (_pack(ints[m:], k) << (k * m))
+    return _pack_halves(ints[:m], k) + (_pack_halves(ints[m:], k) << (k * m))
 
 
 def _unpack(v, k, length):
     """The lowest `length` balanced base-2^k digits of v, each in
-    [-2^(k-1), 2^(k-1)), lowest first; k is a multiple of 8."""
+    [-2^(k-1), 2^(k-1)), lowest first; k is a multiple of 8.  More than 8
+    machine-word digits are biased to unsigned words and read as one array;
+    others are read one at a time, carrying into the next."""
     n = k >> 3
-    raw = (v & ((1 << (k * length)) - 1)).to_bytes(n * length, "little")
-    half, full = 1 << (k - 1), 1 << k
+    half, low = 1 << (k - 1), (1 << (k * length)) - 1
+    code = _WORDS.get(n) if length > 8 else None
+    if code:
+        raw = ((v + _slot_bias(n, length)) & low).to_bytes(n * length, "little")
+        return [d - half for d in memoryview(raw).cast(code)]
+    raw = (v & low).to_bytes(n * length, "little")
+    full = 1 << k
     out = []
     carry = 0
     for i in range(0, n * length, n):
@@ -273,9 +310,12 @@ def _gcd_parts(f, g):
     the gcd: a further common factor q would have q(x) dividing the content
     of the interpolant, which is at most x/2, while every common root lies
     within 1 + min(max|f|, max|g|) of 0, so |q(x)| > x/2.  The bound covers
-    only one of f and g, so the other may vanish at x; such a point is
-    skipped.  After six failed points the primitive remainder sequence gives
-    the gcd.
+    only one of f and g, so the other may vanish at x, and the cofactors
+    may need a far larger x; such a point is skipped or fails its check.
+    Each next k is a quarter and 8 to 15 bits larger, as dup_zz_heu_gcd in
+    sympy grows x, so the sixth point has over three times the bits of the
+    first (2^8 to 2^120).  After six failed points the primitive remainder
+    sequence gives the gcd.
     """
     if len(f) == 1 or len(g) == 1:
         return [1], f, g
@@ -294,7 +334,7 @@ def _gcd_parts(f, g):
                 cg = _interpolate(gx // hx, k)
                 if _mul_ints(h, cg) == g:
                     return h, cf, cg
-        k += (k // 32) * 8 + 8
+        k = (k * 5 // 4 + 15) & ~7
     h = _prs_gcd(f, g)
     return h, _exact_quo(f, h), _exact_quo(g, h)
 
@@ -476,10 +516,7 @@ class RatFunc:
 
     def to_json(self):
         """JSON form: coefficient lists by ascending degree, as strings."""
-        return {
-            "num": [str(c) for c in self.num.coeffs],
-            "den": [str(c) for c in self.den.coeffs],
-        }
+        return {"num": _fraction_strs(self.num), "den": _fraction_strs(self.den)}
 
     @classmethod
     def from_json(cls, obj):
@@ -575,6 +612,17 @@ def _int_normalized(f):
     [1] for zero."""
     r = f.num.content / f.den.content  # den.content > 0: the stored den is monic
     return [r.numerator * c for c in f.num.ints], [r.denominator * c for c in f.den.ints]
+
+
+def _fraction_strs(p):
+    """str() of each Fraction in p.coeffs: with content a/q in lowest terms,
+    a * c / q is in lowest terms over q / gcd(c, q)."""
+    a, q = p.content.numerator, p.content.denominator
+    out = []
+    for c in p.ints:
+        g = _int_gcd(c, q)
+        out.append(str(a * c // g) if g == q else "%d/%d" % (a * c // g, q // g))
+    return out
 
 
 def _is_simple_term(text):

@@ -1,11 +1,13 @@
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
+from e_series import scalar_e_through
 from motivic import coefficients
 from motivic.coefficients import (
     ECoeffTable,
@@ -195,6 +197,24 @@ def test_f_recursion_pins_down_values():
 def test_consistency_residual_small():
     for m in range(1, 4):
         assert consistency_residual(m) == ZERO
+
+
+def test_e_structure_past_the_guard():
+    """E(1..20), past E_GUARD, against two facts observed for m <= 30 (24)
+    and not proved here: F(m) = (-1)^(m-1) C(2m-1, m) / m^2, and the
+    reduced denominator of E(m) is l^C(m,2) [m]_l, [m]_l = (l^m - 1)/(l - 1),
+    so m l^C(m,2) [m]_l E(m) has integer coefficients.  E(1..20) took
+    0.3 s cold; the budget is about three times that."""
+    t0 = time.perf_counter()
+    es = scalar_e_through(20)
+    for m, e in enumerate(es, 1):
+        assert pi_eval(e) == Fraction((-1) ** (m - 1) * comb(2 * m - 1, m), m * m)
+        weight = m * L ** comb(m, 2) * (L**m - 1) / (L - 1)
+        assert e.den == weight.num * Fraction(1, m)
+        scaled = weight * e
+        assert scaled.den == ONE.den and all(c.denominator == 1 for c in scaled.num.coeffs)
+    assert pi_eval(es[9]) == Fraction(-46189, 50)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_table_invariants():

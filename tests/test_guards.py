@@ -13,6 +13,7 @@ from functools import reduce
 
 import pytest
 
+from e_series import scalar_e_through
 from motivic import guards
 from motivic.coefficients import (
     ECoeffTable,
@@ -91,20 +92,6 @@ def coordinate_model(m):
     return StratifiedModel(torus(m), tuple(strata))
 
 
-def scalar_e_through(n):
-    """E(1..n) by the log recurrence, past E_GUARD: the recursion residuals'
-    own input when their level is RECURSION_GUARD.  The terms are taken over
-    the common denominator Upsilon(GL(m)), which keeps them polynomial."""
-    es = list(ECoeffTable.build(E_GUARD).scalar_e)
-    for m in range(E_GUARD + 1, n + 1):
-        ups = upsilon_group(GeneralLinear(m))
-        acc = ZERO
-        for k in range(1, m):
-            acc = acc + k * es[k - 1] * (ups / upsilon_group(GeneralLinear(m - k)))
-        es.append((ELL - 1 - acc / m) / ups)
-    return es
-
-
 def closure_of_size(size, rng):
     """A poset_close of one-row seeds in ranks 3-5 with exactly size
     elements, so the down-set of its top has size elements."""
@@ -160,7 +147,7 @@ def _():
 @edge("RECURSION_GUARD")
 def _():
     es = scalar_e_through(RECURSION_GUARD + 1)
-    table = ECoeffTable(len(es), tuple(es), tuple(pi_eval(e) for e in es))
+    table = ECoeffTable(len(es), es, tuple(pi_eval(e) for e in es))
     assert accepted(2.5, e_recursion_residual, RECURSION_GUARD, table) == ZERO
     assert accepted(1.0, f_recursion_residual, RECURSION_GUARD, table) == 0
     wider = ECoeffTable(len(es) + 1, table.scalar_e + (ZERO,), table.scalar_f + (0,))

@@ -1,4 +1,7 @@
+import itertools
 import random
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd
 
@@ -6,16 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from e_series import scalar_e_through
 from motivic import ratfield
+from motivic.coefficients import integer_partitions, type_weight
 from motivic.errors import DivisionByZero, PoleAtOne
 from motivic.ratfield import (
     ELL,
     ONE,
     Polynomial,
     RatFunc,
+    ZERO,
     _exact_quo,
+    _gcd_parts,
     _mul_ints,
+    _pack,
     _prs_gcd,
+    _unpack,
     canonical_str,
     in_lambda_circ,
     pi_eval,
@@ -91,6 +100,34 @@ def test_json_round_trip():
     f = (L**3 - 2) / (3 * L + 1)
     assert RatFunc.from_json(f.to_json()) == f
     assert f.to_json()["den"][-1] == "1"  # stored monic
+
+
+# coefficients of both signs over unrelated denominators, some far above a
+# machine word, and zeros inside the lists
+mixed_coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(max_denominator=10**12),
+    st.builds(lambda q, e: q * 10**e, st.fractions(max_denominator=10**6), st.integers(0, 30)),
+)
+
+
+def mixed_values():
+    """Values in Q(l) with mixed coefficients, including zero and constants."""
+    return st.builds(
+        lambda num, den: RatFunc(Polynomial(num), Polynomial(den)),
+        st.lists(mixed_coefficients, max_size=8),
+        st.lists(mixed_coefficients, min_size=1, max_size=5).filter(any),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_values())
+def test_to_json_renders_the_fraction_coefficients(f):
+    # the documented form: str() of each Fraction coefficient, ascending
+    # degree, and it reads back as the same value
+    want = {"num": [str(c) for c in f.num.coeffs], "den": [str(c) for c in f.den.coeffs]}
+    assert f.to_json() == want
+    assert RatFunc.from_json(f.to_json()) == f
 
 
 coeffs = st.integers(min_value=-6, max_value=6)
@@ -337,12 +374,88 @@ def near_bound(bits):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 70).flatmap(lambda b: st.tuples(
-    st.lists(near_bound(b), min_size=1, max_size=12).filter(lambda cs: cs[-1]),
-    st.lists(near_bound(b), min_size=1, max_size=12).filter(lambda cs: cs[-1]),
+    st.lists(near_bound(b), min_size=1, max_size=40).filter(lambda cs: cs[-1]),
+    st.lists(near_bound(b), min_size=1, max_size=40).filter(lambda cs: cs[-1]),
 )))  # fmt: skip
 def test_kronecker_product_matches_schoolbook(pair):
     a, b = pair
     assert _mul_ints(a, b) == schoolbook(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker slots: the array conversions against the per-digit ones
+
+
+def oracle_pack(ints, k):
+    """The value at 2^k of the polynomial with coefficients ints: Horner on
+    short runs, halves joined by one shift."""
+    if len(ints) <= 8:
+        v = 0
+        for c in reversed(ints):
+            v = (v << k) + c
+        return v
+    m = len(ints) // 2
+    return oracle_pack(ints[:m], k) + (oracle_pack(ints[m:], k) << (k * m))
+
+
+def oracle_unpack(v, k, length):
+    """The lowest `length` balanced base-2^k digits of v, each read on its
+    own and carried into the next."""
+    n = k >> 3
+    raw = (v & ((1 << (k * length)) - 1)).to_bytes(n * length, "little")
+    half, full = 1 << (k - 1), 1 << k
+    out = []
+    carry = 0
+    for i in range(0, n * length, n):
+        d = int.from_bytes(raw[i : i + n], "little") + carry
+        carry = d >= half
+        out.append(d - full if carry else d)
+    return out
+
+
+@st.composite
+def slot_runs(draw):
+    """(ints, k, length): 1 to 300 coefficients for slots of k bits, with
+    digits at both ends of the slot, negative ones, sometimes coefficients
+    far wider than the slot, and a length that may run past the digits."""
+    k = draw(st.sampled_from((8, 16, 24, 32, 64, 72, 136)))
+    n = draw(st.one_of(st.integers(1, 12), st.integers(1, 300)))
+    rng = draw(st.randoms(use_true_random=False))
+    wide = draw(st.booleans())
+    half = 1 << (k - 1)
+
+    def digit():
+        r = rng.random()
+        if r < 0.3:
+            return rng.choice((-half, half - 1, -1, 0))
+        if wide and r < 0.4:
+            return rng.randrange(-(half << 40), half << 40)
+        return rng.randrange(-half, half)
+
+    return [digit() for _ in range(n)], k, n + draw(st.integers(0, 3))
+
+
+@pytest.mark.parametrize("words", ("machine", "none"))
+@settings(max_examples=200, deadline=None)
+@given(slot_runs())
+def test_slot_conversions_match_the_per_digit_oracles(words, run):
+    # "none" empties the word table, so the per-digit paths stay covered
+    # on a little-endian host
+    ints, k, length = run
+    with pytest.MonkeyPatch.context() as mp:
+        if words == "none":
+            mp.setattr(ratfield, "_WORDS", {})
+        v = _pack(ints, k)
+        assert v == oracle_pack(ints, k)
+        for x in (v, -v, v * v + 1):
+            assert _unpack(x, k, length) == oracle_unpack(x, k, length)
+
+
+def test_word_table_is_keyed_by_itemsize():
+    for width, code in ratfield._WORDS.items():
+        assert array(code).itemsize == width
+    if sys.byteorder == "little":
+        assert sorted(ratfield._WORDS) == [1, 2, 4, 8]
 
 
 def test_kronecker_product_at_the_packing_bound():
@@ -352,6 +465,37 @@ def test_kronecker_product_at_the_packing_bound():
         m = (1 << bits) - 1 or 1
         for a, b in (([m] * 5, [m] * 5), ([-m] * 5, [m] * 3), ([m, -m] * 3, [-m] * 6)):
             assert _mul_ints(a, b) == schoolbook(a, b)
+
+
+def no_fallback(f, g):
+    raise AssertionError("remainder-sequence fallback taken")
+
+
+def test_gcd_point_grows_past_large_cofactors(monkeypatch):
+    # The smallest reduction known to fall back to the remainder sequence
+    # when each point was only about 3% plus 8 bits wider than the last:
+    # the running sum of BGL(18)'s type terms, as consistency_residual(18)
+    # takes it past CONSISTENCY_GUARD, at its 136th term.  The denominator
+    # side has coefficients below 2^7, so the first point is 2^8, while the
+    # numerator's cofactor needs one near 2^48, the last of those six
+    # points; growing by a quarter, the fourth point is 2^64.
+    es = scalar_e_through(20)
+    terms = []
+    for sizes in itertools.islice(integer_partitions(18), 136):
+        coeff = RatFunc(type_weight(sizes))
+        for k in sizes:
+            coeff = coeff * es[k - 1]
+        terms.append(coeff / (L - 1) ** len(sizes))
+    monkeypatch.setattr(ratfield, "_prs_gcd", no_fallback)
+    total = sum(terms[:-1], ZERO)
+    last = terms[-1]
+    f = (total.num * last.den + last.num * total.den).ints
+    g = (total.den * last.den).ints
+    h, cf, cg = _gcd_parts(f, g)
+    assert (len(f), len(g), len(h)) == (325, 343, 48)
+    assert max(map(abs, g)) < 2**7 and max(map(abs, cf)).bit_length() >= 45
+    reduced = total + last
+    assert (reduced.num.ints, reduced.den.ints) == (tuple(cf), tuple(cg))
 
 
 def test_products_of_constants_and_zero():
