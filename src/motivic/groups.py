@@ -3,15 +3,17 @@
 Covered: tori (possibly with finite abelian component group), GL(m), and
 finite products of those.  The block tori of GL(m)'s diagonal torus are
 indexed by set partitions of {1..m}: a finer partition corresponds to a
-larger subgroup, so the singleton partition labels the full torus.  All
-poset questions go through subgroup containment rather than partition
-refinement, which keeps the order direction in one place.
+larger subgroup, so the singleton partition labels the full torus and a
+coarser partition a smaller subgroup.  PartitionLattice reads its
+incidence off the partitions: the block torus of p lies inside the torus
+of the single 2-block {i, j} iff i and j share a block of p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import factorial, prod
 from operator import index
 
@@ -104,6 +106,7 @@ def bell_number(n):
 
 def enumerate_partitions(m):
     """All set partitions of {1..m}, canonical order; Bell(m) of them."""
+    m = index(m)
     if m < 1:
         raise ValueError("m must be positive")
     if m > PARTITION_GUARD:
@@ -242,16 +245,15 @@ def group_rank(g):
 def partition_to_subgroup(p):
     """Block torus of the diagonal: coordinates equal within each block.
 
-    Its vanishing characters are spanned by e_i - e_j for i, j in a block.
+    Its vanishing characters are spanned by e_i - e_last(b) for the other
+    i of each block b.  Sorted by i these rows are already in Hermite
+    normal form: pivot 1 at i, and the -1 in a column no row pivots on.
     """
     rows = []
-    for b in p.blocks:
-        base = b[0]
-        for i in b[1:]:
-            row = [0] * p.m
-            row[base - 1] = 1
-            row[i - 1] = -1
-            rows.append(tuple(row))
+    for i, last in sorted((i, b[-1]) for b in p.blocks for i in b[:-1]):
+        row = [0] * p.m
+        row[i - 1], row[last - 1] = 1, -1
+        rows.append(tuple(row))
     return TorusSubgroup(p.m, tuple(rows))
 
 
@@ -261,16 +263,31 @@ class PartitionLattice(SubgroupPoset):
     Block tori are closed under intersection (intersecting imposes the
     union of the equalities, which is the common coarsening), so the
     family is a valid SubgroupPoset without an explicit closure pass.
+    Its generators are the C(m, 2) tori with a single 2-block {i, j}, and
+    their incidence is read off the partitions, with no containment test.
     """
 
     def __init__(self, m):
+        m = index(m)
         if m > Q_LATTICE_GUARD:
             raise TooLarge("block-torus lattice guarded at m <= %d" % Q_LATTICE_GUARD)
         parts = enumerate_partitions(m)
-        elements = [partition_to_subgroup(p) for p in parts]
-        super().__init__(elements, TorusSubgroup.full_torus(m))
         self.m = m
         self.partitions = tuple(parts)
+        elements = [partition_to_subgroup(p) for p in parts]
+        super().__init__(elements, TorusSubgroup.full_torus(m))
+
+    def _generator_masks(self, order):
+        """over[e] masks the pairs {i, j} inside a block of partition e,
+        below[j] the partitions with pair j inside a block."""
+        pairs = {ij: k for k, ij in enumerate(combinations(range(1, self.m + 1), 2))}
+        over, below = [], [0] * len(pairs)
+        for e, p in enumerate(self.partitions):
+            inside = [pairs[ij] for b in p.blocks for ij in combinations(b, 2)]
+            over.append(sum(1 << k for k in inside))
+            for k in inside:
+                below[k] |= 1 << e
+        return over, below
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,10 @@ deterministic.
 SubgroupPoset builds its incidence and Mobius tables eagerly, in exact
 Python integers with down-sets as bitmasks; numpy arrays only store them.
 Both need the family closed under intersection, since the incidence is
-read off its meet-irreducible members.  Queries are read-only afterwards.
+read off its meet-irreducible members (generators): _generator_masks finds
+them and their incidence by a walk of containment tests, and a subclass
+that knows its generators may supply the masks directly.  Queries are
+read-only afterwards.
 
 One order serves every job: poset_close lists members bottom-up by
 _down_key, the incidence walk goes down it and the Mobius pass back up.
@@ -292,9 +295,11 @@ class SubgroupPoset:
     The caller guarantees the family is closed under pairwise intersection
     (poset_close produces such families; verify_intersection_closed checks
     it in tests): the incidence is read off the meet-irreducible members,
-    so the tables of a family that is not closed are wrong.  Both tables
-    are built at construction, so all queries afterwards are read-only and
-    safe to share across threads.
+    so the tables of a family that is not closed are wrong.  Which members
+    lie in which generators comes from _generator_masks; a subclass whose
+    generators are known overrides it.  Both tables are built at
+    construction, so all queries afterwards are read-only and safe to
+    share across threads.
     """
 
     def __init__(self, elements, top):
@@ -318,7 +323,7 @@ class SubgroupPoset:
         self.elements = elements
         self.top = top
         self._index = index
-        # the walk in _down_sets takes this for granted, so test it here
+        # the walk in _generator_masks takes this for granted, so test it here
         if not all(top.contains(e) for e in elements):
             raise ValueError("top does not contain every element")
         n = len(elements)
@@ -337,12 +342,22 @@ class SubgroupPoset:
 
         In an intersection-closed family each element is the meet of the
         meet-irreducibles (generators) containing it, so the down-set of b
-        is the AND of the below-masks of the generators containing b.  The
-        walk goes top-down through order, so those come before b, and
-        b is a new generator iff some earlier element, counted among its
-        own generators, lies in exactly the same ones.  A generator's rows
-        are tested against L(b) only if its pivot columns are among b's, as
-        those of any sublattice are.
+        is the AND of the below-masks of the generators containing b.
+        """
+        over, below = self._generator_masks(order)
+        full = (1 << len(self.elements)) - 1
+        downs = (reduce(and_, (below[j] for j in _bit_indices(m)), full) for m in over)
+        return [_bit_indices(down) for down in downs]
+
+    def _generator_masks(self, order):
+        """(over, below): over[e] masks the generators containing element e,
+        below[j] the elements inside generator j.
+
+        The walk goes top-down through order, so the generators containing
+        b come before it, and b is a new generator iff some earlier
+        element, counted among its own generators, lies in exactly the same
+        ones.  A generator's rows are tested against L(b) only if its pivot
+        columns are among b's, as those of any sublattice are.
         """
         n = len(self.elements)
         lattices = [e.char_lattice for e in self.elements]
@@ -362,8 +377,7 @@ class SubgroupPoset:
                 below.append(1 << e)
             seen.add(mask)
             over[e] = mask
-        downs = (reduce(and_, (below[j] for j in _bit_indices(m)), (1 << n) - 1) for m in over)
-        return [_bit_indices(down) for down in downs]
+        return over, below
 
     def _build_mobius(self, order, downs):
         """Mobius table column by column, in Python integers:

@@ -23,7 +23,7 @@ from motivic.groups import (
     weyl_index_gl,
 )
 from motivic.ratfield import ELL, ONE, in_lambda_circ
-from motivic.subgroups import AbelianGroupClass, TorusSubgroup
+from motivic.subgroups import AbelianGroupClass, SubgroupPoset, TorusSubgroup
 
 L = ELL
 
@@ -92,6 +92,47 @@ def test_partition_lattice_carries_the_guard():
     assert time.perf_counter() - t0 < 0.1
     with pytest.raises(TooLarge):
         q_lattice_gl(8)
+
+
+@pytest.mark.parametrize("build", [enumerate_partitions, PartitionLattice, q_lattice_gl])
+def test_non_integer_rank_is_refused_at_once(build):
+    # 2.5 used to pass the guards and recurse until RecursionError
+    t0 = time.perf_counter()
+    with pytest.raises(TypeError):
+        build(2.5)
+    assert time.perf_counter() - t0 < 0.1
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_partition_lattice_matches_the_generic_walk(m):
+    # oracle: the same members through SubgroupPoset's containment walk
+    lat = PartitionLattice(m)
+    generic = SubgroupPoset(lat.elements, lat.top)
+    assert generic.elements == lat.elements
+    pairs = 0
+    for b in lat.elements:
+        down = lat.down_set(b)
+        assert down == generic.down_set(b)
+        j = lat.index_of(b)
+        for i in down:
+            assert lat.mobius_by_index(i, j) == generic.mobius_by_index(i, j)
+        pairs += len(down)
+    if m == 7:
+        assert pairs == 19302
+
+
+def test_partition_to_subgroup_matches_hnf_of_first_element_rows():
+    # oracle: the rows e_first - e_i of each block, reduced by hnf
+    for m in range(1, 8):
+        for p in enumerate_partitions(m):
+            rows = []
+            for b in p.blocks:
+                for i in b[1:]:
+                    row = [0] * m
+                    row[b[0] - 1], row[i - 1] = 1, -1
+                    rows.append(tuple(row))
+            old = TorusSubgroup(m, tuple(rows))
+            assert partition_to_subgroup(p).char_lattice == old.char_lattice
 
 
 def test_q_lattice_sizes_are_bell_numbers():
