@@ -25,7 +25,7 @@ from operator import index
 from .errors import ExprSyntaxError, GuardError
 from .groups import GeneralLinear, GroupDesc, Torus, product, torus, upsilon_group
 from .groups import Product as GroupProduct
-from .guards import DEGREE_MAX, DIM_MAX, GL_MAX, NEST_MAX
+from .guards import DEGREE_MAX, DIM_MAX, GL_MAX, HEIGHT_MAX, NEST_MAX
 from .ratfield import ELL, ONE, ZERO
 
 __all__ = [
@@ -349,43 +349,50 @@ def parse(text):
 # evaluation
 
 
-def _group_degree(g):
-    """Degree in l of the class of g: its dimension."""
+def _group_bound(g, height):
+    """Degree in l of the class of g, its dimension, or with height, log2 of
+    a bound on its L1 norm: GL(m) is l^C(m,2) times m binomials l^k - 1."""
     if isinstance(g, GeneralLinear):
-        return g.m * g.m
+        return g.m if height else g.m * g.m
     if isinstance(g, Torus):
         return g.cls.torus_rank
-    return sum(_group_degree(f) for f in g.factors)
+    return sum(_group_bound(f, height) for f in g.factors)
 
 
-def _degree_bounds(e):
+def _bounds(e, height=False):
     """Bounds (n, d) on the numerator and denominator degrees of the class
-    of e, read off the AST without any arithmetic."""
-    if isinstance(e, (Affine, Projective)):
-        return e.n, 0
+    of e, or with height, on log2 of the L1 norms of its integer numerator
+    and denominator taken unreduced, read off the AST without any
+    arithmetic.  The norm of a product is at most the product of the norms,
+    and that of a sum of j terms at most j times the largest."""
+    if isinstance(e, Affine):
+        return (0 if height else e.n), 0
+    if isinstance(e, Projective):
+        return (e.n.bit_length() if height else e.n), 0  # norm n + 1
     if isinstance(e, Gm):
         return 1, 0
     if isinstance(e, Point):
         return 0, 0
     if isinstance(e, GLClass):
-        return e.m * e.m, 0
+        return _group_bound(GeneralLinear(e.m), height), 0
     if isinstance(e, Product):
-        bounds = [_degree_bounds(item) for item in e.items]
+        bounds = [_bounds(item, height) for item in e.items]
         return sum(n for n, _ in bounds), sum(d for _, d in bounds)
     if isinstance(e, Power):
-        n, d = _degree_bounds(e.base)
+        n, d = _bounds(e.base, height)
         return n * e.k, d * e.k
     if isinstance(e, (Sum, Diff)):
-        # over the common denominator each numerator gains the other degrees
+        # over the common denominator each numerator gains the other factors
         items = e.items if isinstance(e, Sum) else (e.a, e.b)
-        bounds = [_degree_bounds(item) for item in items]
+        bounds = [_bounds(item, height) for item in items]
         den = sum(d for _, d in bounds)
-        return max(n + den - d for n, d in bounds), den
+        spread = (len(items) - 1).bit_length() if height else 0
+        return max(n + den - d for n, d in bounds) + spread, den
     if isinstance(e, Quotient):
-        n, d = _degree_bounds(e.expr)
-        return n, d + _group_degree(e.group)
+        n, d = _bounds(e.expr, height)
+        return n, d + _group_bound(e.group, height)
     if isinstance(e, BStack):
-        return 0, _group_degree(e.group)
+        return 0, _group_bound(e.group, height)
     raise TypeError("not a class expression: %r" % (e,))
 
 
@@ -393,14 +400,16 @@ def eval_class(e):
     """Class of the expression in Q(l); quotients divide by the group class.
 
     Before any arithmetic, an expression whose predicted result degree
-    (the larger of its two degree bounds) exceeds DEGREE_MAX is refused
-    with GuardError.
+    (the larger of its two degree bounds) exceeds DEGREE_MAX, or whose
+    predicted height (the larger of its two height bounds) exceeds
+    HEIGHT_MAX, is refused with GuardError.
     """
-    degree = max(_degree_bounds(e))
-    if degree > DEGREE_MAX:
-        raise GuardError(
-            "predicted degree %d exceeds the supported bound %d" % (degree, DEGREE_MAX)
-        )
+    for what, maximum in (("degree", DEGREE_MAX), ("height", HEIGHT_MAX)):
+        bound = max(_bounds(e, what == "height"))
+        if bound > maximum:
+            raise GuardError(
+                "predicted %s %d exceeds the supported bound %d" % (what, bound, maximum)
+            )
     return _eval(e)
 
 
@@ -422,7 +431,8 @@ def _eval(e):
             acc = acc * _eval(item)
         return acc
     if isinstance(e, Power):
-        return _eval(e.base) ** e.k
+        # x^0 = 1 unevaluated: the bounds of e do not cover its base then
+        return _eval(e.base) ** e.k if e.k else ONE
     if isinstance(e, Sum):
         acc = ZERO
         for item in e.items:

@@ -64,3 +64,14 @@ NEST_MAX = 100
 # 767) takes 0.6 s and [pt/Gm^64]^10 + [pt/GL(11)] (761) 0.3 s, nearly
 # all of it in big-integer gcds; the (GL(16))^3 edge 0.01 s.
 DEGREE_MAX = 768
+
+# expr.eval_class: the height predicted from the expression before any
+# arithmetic, log2 of an L1-norm bound of the unreduced integer numerator
+# and denominator.  A reduced coefficient has at most DEGREE_MAX more bits
+# (Landau-Mignotte), so every accepted output integer stays far below the
+# 4300 digits str() converts.  ((pt+pt)^64)^32 = 2^2048 takes a millisecond;
+# the slowest accepted inputs known are sums of quotients with a wide
+# constant near both bounds, such as [P^25 / GL(11)]^5 + [((pt+pt)^64)^29 *
+# (pt+pt)^3 * Gm^8 / Gm^56] + [P^5 / Gm^17]^3 (height 1975, degree 712) at
+# 1.5 s, nearly all of it in big-integer gcds and divisions.
+HEIGHT_MAX = 2048

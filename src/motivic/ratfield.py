@@ -9,8 +9,8 @@ No floating point is used anywhere.  A polynomial is stored as a rational
 content times a primitive integer coefficient tuple, and the arithmetic runs
 on those integers: a product is one big-integer product (Kronecker
 substitution), and the gcd that keeps a quotient reduced is the heuristic
-gcd GCDHEU of Char, Geddes and Gonnet (1989), with the primitive remainder
-sequence as its fallback.  Both write coefficients into k-bit slots of one
+gcd GCDHEU of Char, Geddes and Gonnet (1989), whose evaluation point grows
+until its answer checks.  Both write coefficients into k-bit slots of one
 integer; nearly all slots are 1 to 8 bytes, so runs of more than 8 in a
 machine-word slot are converted as one array of unsigned words.  Fraction
 coefficients are only derived for output, and JSON is rendered without them.
@@ -295,86 +295,74 @@ def _interpolate(v, k):
     return out
 
 
-# GCDHEU evaluation points tried before the remainder sequence
-_HEU_TRIES = 6
-
-
 def _gcd_parts(f, g):
     """(h, f/h, g/h) for primitive integer sequences f and g with positive
     leading coefficients, where h is their gcd (primitive, positive
     leading coefficient).
 
-    GCDHEU: evaluate at x = 2^k, take one integer gcd, interpolate its
-    balanced digits into h and check h * (f/h) == f and h * (g/h) == g.
-    With x >= 2 * min(max|f|, max|g|) + 2 a common divisor found this way is
-    the gcd: a further common factor q would have q(x) dividing the content
-    of the interpolant, which is at most x/2, while every common root lies
-    within 1 + min(max|f|, max|g|) of 0, so |q(x)| > x/2.  The bound covers
-    only one of f and g, so the other may vanish at x, and the cofactors
-    may need a far larger x; such a point is skipped or fails its check.
-    Each next k is a quarter and 8 to 15 bits larger, as dup_zz_heu_gcd in
-    sympy grows x, so the sixth point has over three times the bits of the
-    first (2^8 to 2^120).  After six failed points the primitive remainder
-    sequence gives the gcd.
+    Powers of l come off first: l^v, v the smaller of the two orders at 0,
+    is the gcd's power of l, and the rest of them, on one side against a
+    constant term 2^n * c on the other, would make 2^k a common factor of
+    the two values at every point 2^k with k < n.  Then GCDHEU: evaluate at
+    x = 2^k, take one integer gcd, interpolate its balanced digits into h
+    and check h * (f/h) == f and h * (g/h) == g.  With
+    x >= 2 * min(max|f|, max|g|) + 2 a common divisor found this way is the
+    gcd: a further common factor q would have q(x) dividing the content of
+    the interpolant, which is at most x/2, while every common root lies
+    within 1 + min(max|f|, max|g|) of 0, so |q(x)| > x/2.  Each cofactor is
+    one division at 2^(k + w), where w is how many bits wider its dividend's
+    coefficients are than the other side's, so a lopsided pair needs no
+    wider gcd.  A point where f or g vanishes is skipped, and one whose
+    digits miss is followed by a point a quarter and 8 to 15 bits larger,
+    as dup_zz_heu_gcd in sympy grows x, until one checks.  One does: with
+    f = h*a and g = h*b, the integer gcd at any x is |h(x)| * c, where
+    c = gcd(a(x), b(x)) divides the resultant Res(a, b) != 0.  So once
+    x > 1 + max(max|f|, max|g|) and x/2 exceeds |Res(a, b)| * max|h|,
+    max|a| and max|b|, the balanced digits are those of c * h, whose
+    primitive part is h, and both cofactors interpolate exactly.  The
+    Hadamard and Landau-Mignotte bounds give those sizes finitely many
+    bits, which k passes in logarithmically many tries.
     """
+    vf = next(i for i, c in enumerate(f) if c)
+    vg = next(i for i, c in enumerate(g) if c)
+    if vf or vg:
+        v = min(vf, vg)
+        h, cf, cg = _gcd_parts(f[vf:], g[vg:])
+        return [0] * v + list(h), [0] * (vf - v) + list(cf), [0] * (vg - v) + list(cg)
     if len(f) == 1 or len(g) == 1:
         return [1], f, g
     f, g = list(f), list(g)  # stored tuples: a list never equals a tuple
-    norm = min(max(map(abs, f)), max(map(abs, g)))
-    k = ((2 * norm + 2).bit_length() + 7) & ~7
-    for _ in range(_HEU_TRIES):
+    wf, wg = _slot_bits(f), _slot_bits(g)
+    k = min(wf, wg)
+    wf, wg = wf - k, wg - k  # how much wider each side's slots are
+    while True:
         fx, gx = _pack(f, k), _pack(g, k)
         if fx and gx:
             h = _int_primitive(_interpolate(_int_gcd(fx, gx), k))[1]
             if len(h) == 1:
                 return h, f, g
-            hx = _pack(h, k)
-            cf = _interpolate(fx // hx, k)
-            if _mul_ints(h, cf) == f:
-                cg = _interpolate(gx // hx, k)
-                if _mul_ints(h, cg) == g:
-                    return h, cf, cg
+            cf = _cofactor(f, h, k + wf)
+            cg = cf and _cofactor(g, h, k + wg)
+            if cg:
+                return h, cf, cg
         k = (k * 5 // 4 + 15) & ~7
-    h = _prs_gcd(f, g)
-    return h, _exact_quo(f, h), _exact_quo(g, h)
 
 
-def _prs_gcd(f, g):
-    """gcd of primitive integer lists with positive leading coefficients by
-    the primitive remainder sequence: each pseudo-remainder loses its
-    content, so the coefficients stay small."""
-    if len(f) < len(g):
-        f, g = g, f
-    while len(g) > 1:
-        r = list(f)
-        lead = g[-1]
-        while len(r) >= len(g):
-            c = r[-1]
-            shift = len(r) - len(g)
-            r = [x * lead for x in r]
-            for j, b in enumerate(g):
-                r[shift + j] -= c * b
-            while r and not r[-1]:
-                r.pop()
-        if not r:
-            return g
-        f, g = g, _int_primitive(r)[1]
-    return [1]
+def _slot_bits(ints):
+    """The least multiple k of 8 with 2^k > 2 * max|ints| + 2."""
+    return ((2 * max(map(abs, ints)) + 2).bit_length() + 7) & ~7
 
 
-def _exact_quo(f, h):
-    """f / h for integer lists when h divides f exactly."""
-    r = list(f)
-    dh = len(h) - 1
-    lead = h[-1]
-    terms = [(j, b) for j, b in enumerate(h[:-1]) if b]
-    q = [0] * (len(f) - dh)
-    for i in range(len(q) - 1, -1, -1):
-        c = r[i + dh] // lead
-        q[i] = c
-        for j, b in terms:
-            r[i + j] -= c * b
-    return q
+def _cofactor(f, h, k):
+    """f/h by one division at 2^k, interpolated, for integer lists with
+    positive leading coefficients and 2^k past the roots of both; None when
+    the product does not check."""
+    v = _pack(f, k) // _pack(h, k)
+    if v:
+        q = _interpolate(v, k)
+        if _mul_ints(h, q) == f:
+            return q
+    return None
 
 
 def poly_gcd(a, b):

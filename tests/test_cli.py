@@ -1,8 +1,10 @@
+import hashlib
 import json
 import time
+from fractions import Fraction
+from math import prod
 from pathlib import Path
 
-from motivic import ratfield
 from motivic.cli import main
 
 GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens.json"
@@ -230,17 +232,63 @@ def test_eval_high_multiplicity_sums_finish(capsys):
         assert json.loads(out)["input"] == text
 
 
-def test_eval_needs_no_remainder_sequence(capsys, monkeypatch):
-    # GCDHEU finds every gcd of these inputs at one of its evaluation
-    # points; a gcd that fell back to the remainder sequence would still be
-    # right, only slow, so the fallback is made to fail loudly here
-    def no_fallback(f, g):
-        raise AssertionError("remainder-sequence fallback taken")
-
-    monkeypatch.setattr(ratfield, "_prs_gcd", no_fallback)
+def test_eval_needs_no_remainder_sequence(capsys):
+    # GCDHEU, the only gcd, grows its evaluation point until the gcd checks
     for text in HIGH_MULTIPLICITY + FIELD_ROUND:
         code, _, err = run_cli(capsys, "eval", text, "--json")
         assert (code, err) == (0, ""), text
+
+
+# lopsided quotients: a wide constant on one side of a gcd whose first point
+# is chosen from the other side.  The first two took 16.5 s and 0.2 s when a
+# remainder sequence followed six points of GCDHEU; their stdout is
+# (2^2000*l^100 + 1)/(l - 1)^63 expanded and 2^320*l + 1.  In the third the
+# numerator's cofactor is about 2^1987 wide (5.3 s with one growing point).
+# Each stdout is pinned by length and SHA-256 as the remainder sequence
+# printed it.
+LOPSIDED = {
+    "[((A^64 * A^36 * ((pt+pt)^64)^31 * (pt+pt)^16 + pt) * (A^1 - pt)) / Gm^64]": (
+        1946,
+        "4c1f9e9948f1f849c1349b53ae01476ec4f301e0fdf98390f6dcb95feab24161",
+    ),
+    "[(A^1 * ((pt+pt)^64)^5 + pt) * (A^1 - pt) / Gm]": (
+        104,
+        "fb1997d3f943e360dc187899bb9dc16c71878a6f6eb6180667808eae9adf4517",
+    ),
+    "(((((pt+pt)^64)^1)^31) - ((BGL(1)) / GL(3))) + (B GL(16)^1) + B GL(15)": (
+        60133,
+        "05c54383529e804b62ce59b25f758a34718076891903c9cf971c69625509a597",
+    ),
+}
+
+
+def test_eval_lopsided_quotients_finish(capsys):
+    for text, (size, digest) in LOPSIDED.items():
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "eval", text)
+        assert time.perf_counter() - t0 < 2.0, text
+        assert (code, err, len(out)) == (0, "", size), text
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, text
+
+
+def test_eval_splits_powers_of_l_off_the_gcd(capsys):
+    # GL(9) and GL(15) put l^36 and l^105 into the denominators, and the
+    # numerator's constant is 2^1712, so f(2^k) and g(2^k) share 2^k at every
+    # point with k < 1712 unless the powers of l come off first
+    text = "[P^5 / GL(9)]^2 + [((pt+pt)^64)^26 * (pt+pt)^48 * Gm^6 / GL(15)]"
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", text, "--json")
+    assert time.perf_counter() - t0 < 2.0
+    assert (code, err) == (0, "")
+    obj = json.loads(out)["class"]
+
+    def gl(m, x):
+        return x ** (m * (m - 1) // 2) * prod(x**k - 1 for k in range(1, m + 1))
+
+    for x in (Fraction(2), Fraction(3)):
+        num, den = (sum(Fraction(c) * x**i for i, c in enumerate(obj[k])) for k in ("num", "den"))
+        want = (sum(x**i for i in range(6)) / gl(9, x)) ** 2 + 2**1712 * (x - 1) ** 6 / gl(15, x)
+        assert num / den == want
 
 
 def test_eval_root_at_the_gcd_evaluation_point(capsys):

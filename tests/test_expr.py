@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -16,13 +17,13 @@ from motivic.expr import (
     Projective,
     Quotient,
     Sum,
-    _degree_bounds,
+    _bounds,
     eval_class,
     parse,
     render,
 )
 from motivic.groups import GeneralLinear, product, torus
-from motivic.guards import DEGREE_MAX, NEST_MAX
+from motivic.guards import DEGREE_MAX, HEIGHT_MAX, NEST_MAX
 from motivic.ratfield import ELL, ONE, RatFunc
 
 L = ELL
@@ -272,9 +273,92 @@ def test_degree_bounds_hold():
     exprs = [random_expr(rng) for _ in range(200)]
     exprs += [parse("[A^3 / Gm^2] - BGL(2) * Gm"), parse("[P^2 / GL(2) * Gm]^2")]
     for e in exprs:
-        n, d = _degree_bounds(e)
+        n, d = _bounds(e)
         value = eval_class(e)
         assert value.num.degree <= n and value.den.degree <= d, render(e)
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _group_poly(g):
+    if isinstance(g, GeneralLinear):
+        out = [0] * (g.m * (g.m - 1) // 2) + [1]
+        for k in range(1, g.m + 1):
+            out = _times(out, [-1] + [0] * (k - 1) + [1])
+        return out
+    out = [1]
+    for _ in range(g.cls.torus_rank):
+        out = _times(out, [-1, 1])
+    return out
+
+
+def unreduced(e):
+    """Integer numerator and denominator lists of e, never reduced."""
+    if isinstance(e, Affine):
+        return [0] * e.n + [1], [1]
+    if isinstance(e, Projective):
+        return [1] * (e.n + 1), [1]
+    if isinstance(e, Gm):
+        return [-1, 1], [1]
+    if isinstance(e, Point):
+        return [1], [1]
+    if isinstance(e, GLClass):
+        return _group_poly(GeneralLinear(e.m)), [1]
+    if isinstance(e, Quotient):
+        n, d = unreduced(e.expr)
+        return n, _times(d, _group_poly(e.group))
+    if isinstance(e, BStack):
+        return [1], _group_poly(e.group)
+    if isinstance(e, (Product, Power)):
+        n, d = [1], [1]
+        for item in e.items if isinstance(e, Product) else (e.base,) * e.k:
+            n2, d2 = unreduced(item)
+            n, d = _times(n, n2), _times(d, d2)
+        return n, d
+    terms = [unreduced(item) for item in (e.items if isinstance(e, Sum) else (e.a, e.b))]
+    if isinstance(e, Diff):
+        terms[1] = ([-c for c in terms[1][0]], terms[1][1])
+    n, d = terms[0]
+    for n2, d2 in terms[1:]:
+        a, b = _times(n, d2), _times(n2, d)
+        n, d = [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)], _times(d, d2)
+    return n, d
+
+
+def test_height_bounds_hold():
+    # the predicted heights bound the L1 norms of the unreduced integer
+    # numerator and denominator, built here by schoolbook products
+    rng = random.Random(12)
+    exprs = [random_expr(rng) for _ in range(200)]
+    exprs += [parse(t) for t in ("(pt + pt + pt)^5 - (Gm)^3 * [P^4 / GL(3)]", "BGL(3) + [pt/Gm^4]")]
+    for e in exprs:
+        n, d = _bounds(e, height=True)
+        num, den = unreduced(e)
+        assert sum(map(abs, num)) <= 2**n and sum(map(abs, den)) <= 2**d, render(e)
+        assert RatFunc(num, den) == eval_class(e), render(e)
+
+
+def test_height_guard():
+    t0 = time.perf_counter()
+    for text in ("((pt+pt)^64)^33", "(((pt+pt)^64)^64)^4", "GL(16)^3 * ((pt+pt)^64)^31 * (pt+pt)^17"):
+        with pytest.raises(GuardError, match="predicted height"):
+            eval_class(parse(text))
+    assert time.perf_counter() - t0 < 0.5
+    assert eval_class(parse("((pt+pt)^64)^32")) == 2**HEIGHT_MAX
+
+
+def test_zeroth_power_does_not_evaluate_its_base():
+    # the bounds of x^0 are those of 1, so x may be far past both guards
+    t0 = time.perf_counter()
+    assert eval_class(parse("(GL(16)^63 * ((pt+pt)^64)^64)^0")) == ONE
+    assert eval_class(parse("[(GL(16)^63)^0 / Gm]")) == ONE / (L - 1)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_eval_ring_morphism_on_nodes():

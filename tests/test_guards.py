@@ -23,7 +23,7 @@ from motivic.coefficients import (
     f_recursion_residual,
 )
 from motivic.errors import GuardError, TooLarge
-from motivic.expr import _degree_bounds, eval_class, parse
+from motivic.expr import _bounds, eval_class, parse
 from motivic.groups import (
     GeneralLinear,
     PartitionLattice,
@@ -42,6 +42,7 @@ from motivic.guards import (
     DIM_MAX,
     E_GUARD,
     GL_MAX,
+    HEIGHT_MAX,
     MODEL_GL_GUARD,
     MODEL_TORUS_GUARD,
     NEST_MAX,
@@ -222,11 +223,31 @@ def _():
 @edge("DEGREE_MAX")
 def _():
     for text in ("(A^64)^12", "(GL(16))^3", "(A^64)^12 * Gm"):
-        assert max(_degree_bounds(parse(text))) == DEGREE_MAX + text.endswith("Gm")
+        assert max(_bounds(parse(text))) == DEGREE_MAX + text.endswith("Gm")
     assert accepted(1.0, eval_text, "(A^64)^12") == ELL**DEGREE_MAX
     accepted(2.0, eval_text, "(GL(16))^3")
     accepted(2.5, eval_text, "[pt/GL(16)] * [pt/GL(15)] + [pt/GL(14)]")
     refused(GuardError, eval_text, "(A^64)^12 * Gm")
+
+
+@edge("HEIGHT_MAX")
+def _():
+    # the gcd of the lopsided quotient needs a point past 2^2000; the last
+    # three refusals would build 2^16384, 2^(2^30) and 2^(2^36), the first
+    # past the 4300 digits str() converts
+    lopsided = "[((A^64 * A^36 * ((pt+pt)^64)^31 * (pt+pt)^16 + pt) * (A^1 - pt)) / Gm^64]"
+    assert max(_bounds(parse(lopsided), height=True)) == 2002
+    assert max(_bounds(parse("[P^64/Gm^64]^11 + [P^63/Gm^63]"), height=True)) == 767
+    assert max(_bounds(parse("((pt+pt)^64)^32"), height=True)) == HEIGHT_MAX
+    assert accepted(1.0, eval_text, "((pt+pt)^64)^32") == 2**HEIGHT_MAX
+    accepted(1.0, eval_text, lopsided)
+    slowest = "[P^25 / GL(11)]^5 + [((pt+pt)^64)^29 * (pt+pt)^3 * Gm^8 / Gm^56] + [P^5 / Gm^17]^3"
+    assert max(_bounds(parse(slowest), height=True)) == 1975
+    accepted(4.5, eval_text, slowest)
+    refused(GuardError, eval_text, "((pt+pt)^64)^32 * (pt+pt)")
+    refused(GuardError, eval_text, "(((pt+pt)^64)^64)^4")
+    for levels in (5, 6):
+        refused(GuardError, eval_text, "(" * levels + "pt+pt" + ")^64" * levels)
 
 
 def test_every_guard_has_an_edge_case():

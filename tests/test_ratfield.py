@@ -19,11 +19,9 @@ from motivic.ratfield import (
     Polynomial,
     RatFunc,
     ZERO,
-    _exact_quo,
     _gcd_parts,
     _mul_ints,
     _pack,
-    _prs_gcd,
     _unpack,
     canonical_str,
     in_lambda_circ,
@@ -291,22 +289,52 @@ def test_reduction_matches_fraction_euclid(pair):
     assert (f.num.coeffs, f.den.coeffs) == oracle_reduce(num, den)
 
 
-@settings(max_examples=30, deadline=None)
-@given(shared_factor_pairs())
-def test_remainder_sequence_fallback_matches_fraction_euclid(pair):
-    # GCDHEU almost never fails on these inputs, so the fallback is run
-    # directly: the primitive remainder sequence alone, then the whole
-    # reduction with no evaluation point tried
+def signed_bits(bits):
+    # integers of exactly `bits` bits, either sign
+    return st.tuples(st.integers(1 << (bits - 1), (1 << bits) - 1), st.booleans()).map(
+        lambda t: -t[0] if t[1] else t[0]
+    )
+
+
+@st.composite
+def late_point_pairs(draw):
+    """num and den over a common factor l^i * (l - 1)^j * (l + 1)^m whose gcd
+    a point 2^k chosen from the smaller side misses.  A lopsided pair has a
+    cofactor with coefficients 100 to 400 bits above the other side's norm.
+    In a resultant pair the cofactors l^8 - 1 and l^8 + 2^t - 2 share the
+    factor 2^t - 1 at every point 2^k with t | 8k.  In a power pair one
+    cofactor is 2^n + l * s(l), n from 100 to 400, and the other a multiple
+    of l, so both values share 2^k at every point with k < n."""
+    common = schoolbook(
+        poly_power([-1, 1], draw(st.integers(1, 16))), poly_power([1, 1], draw(st.integers(0, 40)))
+    )
+    common = [0] * draw(st.integers(0, 3)) + common
+    small = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=6).filter(lambda cs: cs[-1]))
+    kind = draw(st.sampled_from(("lopsided", "resultant", "power")))
+    if kind == "lopsided":
+        norm = max(map(abs, schoolbook(small, common)))
+        bits = norm.bit_length() + draw(st.integers(100, 400))
+        a = draw(st.lists(signed_bits(bits), min_size=1, max_size=6))
+        b = small
+    elif kind == "resultant":
+        t = draw(st.sampled_from((8, 16, 32, 64)))
+        a, b = [-1] + [0] * 7 + [1], [(1 << t) - 2] + [0] * 7 + [1]
+    else:
+        a = [1 << draw(st.integers(100, 400))] + small
+        b = [0] * draw(st.integers(1, 8)) + small
+    a, b = schoolbook(a, common), schoolbook(b, common)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(late_point_pairs())
+def test_reduction_past_the_first_points_matches_fraction_euclid(pair):
     num, den = pair
-    f = list(Polynomial(num).ints)
-    g = list(Polynomial(den).ints)
-    h = _prs_gcd(f, g)
-    assert [Fraction(c, h[-1]) for c in h] == oracle_gcd(num, den)
-    assert schoolbook(h, _exact_quo(f, h)) == f
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ratfield, "_HEU_TRIES", 0)
-        r = RatFunc(Polynomial(num), Polynomial(den))
-    assert (r.num.coeffs, r.den.coeffs) == oracle_reduce(num, den)
+    f = RatFunc(Polynomial(num), Polynomial(den))
+    assert (f.num.coeffs, f.den.coeffs) == oracle_reduce(num, den)
+    h, cf, cg = _gcd_parts(Polynomial(num).ints, Polynomial(den).ints)
+    assert schoolbook(h, cf) == list(Polynomial(num).ints)
+    assert schoolbook(h, cg) == list(Polynomial(den).ints)
 
 
 def test_poly_gcd_is_monic_and_handles_zero():
@@ -467,18 +495,12 @@ def test_kronecker_product_at_the_packing_bound():
             assert _mul_ints(a, b) == schoolbook(a, b)
 
 
-def no_fallback(f, g):
-    raise AssertionError("remainder-sequence fallback taken")
-
-
-def test_gcd_point_grows_past_large_cofactors(monkeypatch):
-    # The smallest reduction known to fall back to the remainder sequence
-    # when each point was only about 3% plus 8 bits wider than the last:
-    # the running sum of BGL(18)'s type terms, as consistency_residual(18)
-    # takes it past CONSISTENCY_GUARD, at its 136th term.  The denominator
-    # side has coefficients below 2^7, so the first point is 2^8, while the
-    # numerator's cofactor needs one near 2^48, the last of those six
-    # points; growing by a quarter, the fourth point is 2^64.
+def test_gcd_point_grows_past_large_cofactors():
+    # The smallest reduction known to defeat six points that each grew by
+    # only about 3% plus 8 bits: the running sum of BGL(18)'s type terms, as
+    # consistency_residual(18) takes it past CONSISTENCY_GUARD, at its 136th
+    # term.  The denominator side has coefficients below 2^7, so the first
+    # point is 2^8, while the numerator's cofactor needs one near 2^48.
     es = scalar_e_through(20)
     terms = []
     for sizes in itertools.islice(integer_partitions(18), 136):
@@ -486,7 +508,6 @@ def test_gcd_point_grows_past_large_cofactors(monkeypatch):
         for k in sizes:
             coeff = coeff * es[k - 1]
         terms.append(coeff / (L - 1) ** len(sizes))
-    monkeypatch.setattr(ratfield, "_prs_gcd", no_fallback)
     total = sum(terms[:-1], ZERO)
     last = terms[-1]
     f = (total.num * last.den + last.num * total.den).ints
