@@ -99,7 +99,8 @@ def _random_subgroup(rng, m):
 
 
 def check_mobius_crosscut(max_m=4, n_random=200):
-    """The literal subset sums agree with the recursive Mobius function."""
+    """The literal subset sums agree with the Mobius function: Rota's
+    product formula on block tori, the recursion on random closed posets."""
     report = CheckReport("mobius-crosscut")
     for m in range(2, max_m + 1):
         lat = q_lattice_gl(m)

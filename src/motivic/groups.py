@@ -4,9 +4,10 @@ Covered: tori (possibly with finite abelian component group), GL(m), and
 finite products of those.  The block tori of GL(m)'s diagonal torus are
 indexed by set partitions of {1..m}: a finer partition corresponds to a
 larger subgroup, so the singleton partition labels the full torus and a
-coarser partition a smaller subgroup.  PartitionLattice reads its
-incidence off the partitions: the block torus of p lies inside the torus
-of the single 2-block {i, j} iff i and j share a block of p.
+coarser partition a smaller subgroup.  PartitionLattice reads both its
+tables off the partitions: its incidence, since the block torus of p lies
+inside the torus of the single 2-block {i, j} iff i and j share a block of
+p, and its Mobius function, by Rota's product formula.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from operator import index
 from .errors import TooLarge
 from .guards import PARTITION_GUARD, Q_LATTICE_GUARD
 from .ratfield import ELL, ONE
-from .subgroups import AbelianGroupClass, SubgroupPoset, TorusSubgroup
+from .subgroups import AbelianGroupClass, SubgroupPoset, TorusSubgroup, _subgroup
 
 __all__ = [
     "SetPartition",
@@ -59,12 +60,12 @@ class SetPartition:
         if self.m < 1:
             raise ValueError("set partitions need m >= 1")
         blocks = tuple(tuple(sorted(index(x) for x in b)) for b in self.blocks)
+        if any(not b for b in blocks):
+            raise ValueError("empty block")
         blocks = tuple(sorted(blocks, key=lambda b: b[0]))
         seen = [x for b in blocks for x in b]
         if sorted(seen) != list(range(1, self.m + 1)):
             raise ValueError("blocks must partition 1..%d" % self.m)
-        if any(not b for b in blocks):
-            raise ValueError("empty block")
         object.__setattr__(self, "blocks", blocks)
 
     @classmethod
@@ -94,6 +95,15 @@ class SetPartition:
         return "".join("{%s}" % ",".join(map(str, b)) for b in self.blocks)
 
 
+def _partition(m, blocks):
+    """The SetPartition of {1..m} with these blocks, already canonical, as
+    given."""
+    out = SetPartition.__new__(SetPartition)
+    object.__setattr__(out, "m", m)
+    object.__setattr__(out, "blocks", blocks)
+    return out
+
+
 def bell_number(n):
     row = [1]
     for _ in range(n):
@@ -113,17 +123,17 @@ def enumerate_partitions(m):
         raise TooLarge("partition enumeration guarded at m <= %d" % PARTITION_GUARD)
 
     def grow(k):
+        # k joins a block or starts one at the end: each block stays sorted
+        # and the blocks stay ordered by least element, so canonical
         if k == 0:
-            yield []
+            yield ()
             return
         for rest in grow(k - 1):
-            yield rest + [[k]]
+            yield rest + ((k,),)
             for i in range(len(rest)):
-                yield rest[:i] + [rest[i] + [k]] + rest[i + 1 :]
+                yield rest[:i] + (rest[i] + (k,),) + rest[i + 1 :]
 
-    parts = [SetPartition(m, tuple(tuple(b) for b in blocks)) for blocks in grow(m)]
-    parts.sort(key=lambda p: p.blocks)
-    return parts
+    return [_partition(m, blocks) for blocks in sorted(grow(m))]
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +258,14 @@ def partition_to_subgroup(p):
     Its vanishing characters are spanned by e_i - e_last(b) for the other
     i of each block b.  Sorted by i these rows are already in Hermite
     normal form: pivot 1 at i, and the -1 in a column no row pivots on.
+    So the subgroup takes them as given, with no hnf pass.
     """
     rows = []
     for i, last in sorted((i, b[-1]) for b in p.blocks for i in b[:-1]):
         row = [0] * p.m
         row[i - 1], row[last - 1] = 1, -1
         rows.append(tuple(row))
-    return TorusSubgroup(p.m, tuple(rows))
+    return _subgroup(p.m, tuple(rows))
 
 
 class PartitionLattice(SubgroupPoset):
@@ -264,7 +275,8 @@ class PartitionLattice(SubgroupPoset):
     union of the equalities, which is the common coarsening), so the
     family is a valid SubgroupPoset without an explicit closure pass.
     Its generators are the C(m, 2) tori with a single 2-block {i, j}, and
-    their incidence is read off the partitions, with no containment test.
+    their incidence is read off the partitions, with no containment test;
+    so is the Mobius function, by Rota's product formula.
     """
 
     def __init__(self, m):
@@ -288,6 +300,31 @@ class PartitionLattice(SubgroupPoset):
             for k in inside:
                 below[k] |= 1 << e
         return over, below
+
+    def _mobius_columns(self, order, downs):
+        """Rota's product formula: for a <= b, that is a coarser than b,
+        mu(a, b) = prod over the blocks A of a of f(|A & min(b)|), with
+        f(k) = (-1)^(k-1) (k-1)! and min(b) the set of least elements of
+        b's blocks.  Each block of b lies in one block A of a and adds its
+        least element to A & min(b), so the interval [a, b] is the product
+        over A of partition lattices of |A & min(b)| points.  A block of
+        one element gives f(1) = 1 and is skipped; order is not needed."""
+        f = [None] + [(-1) ** (k - 1) * factorial(k - 1) for k in range(1, self.m + 1)]
+        masks = [
+            [sum(1 << i for i in blk) for blk in p.blocks if len(blk) > 1]
+            for p in self.partitions
+        ]
+        cols = []
+        for p, down in zip(self.partitions, downs):
+            least = sum(1 << blk[0] for blk in p.blocks)
+            col = {}
+            for a in down:
+                v = 1
+                for mask in masks[a]:
+                    v *= f[(mask & least).bit_count()]
+                col[a] = v
+            cols.append(col)
+        return cols
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,8 @@ PARTITION_GUARD = 9
 
 # groups.PartitionLattice: the block-torus poset of GL(m) with its incidence
 # and Mobius tables, refused above this rank before any enumeration;
-# Bell(7) = 877 elements take 0.06 s (median of 11 cold runs).
+# Bell(7) = 877 elements take 0.034-0.063 s (11 cold runs on a shared
+# 2-vCPU host).
 Q_LATTICE_GUARD = 7
 
 # coefficients.e_coeff_gl and ECoeffTable.build: E(GL(m), Q) for m up to

@@ -11,9 +11,11 @@ SubgroupPoset builds its incidence and Mobius tables eagerly, in exact
 Python integers with down-sets as bitmasks; numpy arrays only store them.
 Both need the family closed under intersection, since the incidence is
 read off its meet-irreducible members (generators): _generator_masks finds
-them and their incidence by a walk of containment tests, and a subclass
-that knows its generators may supply the masks directly.  Queries are
-read-only afterwards.
+them and their incidence by a walk of containment tests, and
+_mobius_columns runs the Mobius recursion up the incidence.  A subclass
+that knows its generators may supply the masks directly, and one that
+knows a closed form for its Mobius function may supply the columns.
+Queries are read-only afterwards.
 
 One order serves every job: poset_close lists members bottom-up by
 _down_key, the incidence walk goes down it and the Mobius pass back up.
@@ -272,6 +274,15 @@ class TorusSubgroup:
         return "Subgroup(%d, %s)" % (self.ambient_rank, list(map(list, self.char_lattice)))
 
 
+def _subgroup(m, rows):
+    """The TorusSubgroup of the m-torus with these lattice rows, already in
+    HNF, as given."""
+    out = TorusSubgroup.__new__(TorusSubgroup)
+    object.__setattr__(out, "ambient_rank", m)
+    object.__setattr__(out, "char_lattice", rows)
+    return out
+
+
 def _require_subgroups(items):
     """TypeError, like the other constructors raise, for a non-subgroup."""
     for x in items:
@@ -296,10 +307,11 @@ class SubgroupPoset:
     (poset_close produces such families; verify_intersection_closed checks
     it in tests): the incidence is read off the meet-irreducible members,
     so the tables of a family that is not closed are wrong.  Which members
-    lie in which generators comes from _generator_masks; a subclass whose
-    generators are known overrides it.  Both tables are built at
-    construction, so all queries afterwards are read-only and safe to
-    share across threads.
+    lie in which generators comes from _generator_masks, and the Mobius
+    values from _mobius_columns; a subclass whose generators are known
+    overrides the first, one whose Mobius function has a closed form the
+    second.  Both tables are built at construction, so all queries
+    afterwards are read-only and safe to share across threads.
     """
 
     def __init__(self, elements, top):
@@ -333,7 +345,10 @@ class SubgroupPoset:
         self._leq = np.zeros((n, n), dtype=bool)
         for b, down in enumerate(downs):
             self._leq[down, b] = True
-        self._mu = self._build_mobius(reversed(order), downs)
+        mu = self._mu = np.zeros((n, n), dtype=object)
+        for b, col in enumerate(self._mobius_columns(reversed(order), downs)):
+            for a, v in col.items():
+                mu[a, b] = v
 
     # -- construction helpers
 
@@ -379,14 +394,12 @@ class SubgroupPoset:
             over[e] = mask
         return over, below
 
-    def _build_mobius(self, order, downs):
-        """Mobius table column by column, in Python integers:
-        mu(b, b) = 1 and mu(a, b) = -sum of mu(a, c) over a <= c < b.  The
-        columns go bottom-up through order, so the column of each c < b is
-        done before b's."""
-        n = len(self.elements)
-        mu = np.zeros((n, n), dtype=object)
-        cols = [None] * n
+    def _mobius_columns(self, order, downs):
+        """The Mobius table as one dict {a: mu(a, b)} per column b, over the
+        a <= b: mu(b, b) = 1 and mu(a, b) = -sum of mu(a, c) over
+        a <= c < b, in Python integers.  The columns go bottom-up through
+        order, so the column of each c < b is done before b's."""
+        cols = [None] * len(self.elements)
         for b in order:
             col = {b: 1}
             for c in downs[b]:
@@ -394,9 +407,7 @@ class SubgroupPoset:
                     for a, v in cols[c].items():
                         col[a] = col.get(a, 0) - v
             cols[b] = col
-            for a, v in col.items():
-                mu[a, b] = v
-        return mu
+        return cols
 
     # -- queries
 
@@ -448,9 +459,13 @@ class SubgroupPoset:
             raise TooLarge(
                 "down-set has %d elements; crosscut guard is %d" % (len(down), CROSSCUT_GUARD)
             )
-        # meet table inside the down-set, by poset index
+        # meet table inside the down-set, by poset index, one intersection
+        # per unordered pair
         els = self.elements
-        meet = {(i, j): self.index_of(els[i].intersect(els[j])) for i in down for j in down}
+        meet = {(i, i): i for i in down}
+        for k, i in enumerate(down):
+            for j in down[k + 1 :]:
+                meet[(i, j)] = meet[(j, i)] = self.index_of(els[i].intersect(els[j]))
         others = [i for i in down if i != iup]
         total = 0
 

@@ -78,6 +78,20 @@ def test_eval_syntax_error_position_is_a_utf8_byte_offset(capsys):
     assert "offset 7:" in err
 
 
+def test_eval_expression_starting_with_a_dash_goes_after_double_dash(capsys):
+    # argparse reads "-pt" as an option: a usage error with no JSON object
+    code, out, err = run_cli(capsys, "eval", "-pt", "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: ")
+    # after "--" it is the expression, and the parser refuses it
+    code, out, _ = run_cli(capsys, "eval", "--json", "--", "-pt")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ExprSyntaxError"
+    assert error["position"] == 0
+
+
 def test_eval_guard_error(capsys):
     code, _, err = run_cli(capsys, "eval", "GL(0)")
     assert code == 2

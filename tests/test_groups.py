@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from motivic import subgroups
 from motivic.errors import TooLarge
 from motivic.groups import (
     GeneralLinear,
@@ -57,10 +58,20 @@ def test_enumerate_partitions_counts():
 
 
 def test_partitions_distinct_and_canonical():
-    parts = enumerate_partitions(5)
-    assert len(set(parts)) == len(parts)
-    for p in parts:
-        assert p.blocks == SetPartition(5, p.blocks).blocks
+    # enumerate_partitions skips validation, so the constructor is the oracle
+    for m in range(1, 8):
+        parts = enumerate_partitions(m)
+        assert len(set(parts)) == len(parts)
+        for p in parts:
+            assert p == SetPartition(m, p.blocks)
+
+
+def test_empty_block_is_a_value_error():
+    # refused before the blocks are sorted by their least element
+    with pytest.raises(ValueError, match="empty block"):
+        SetPartition(2, ((1, 2), ()))
+    with pytest.raises(ValueError, match="empty block"):
+        SetPartition.from_json([[1, 2], []])
 
 
 def test_partition_to_subgroup_examples():
@@ -119,6 +130,37 @@ def test_partition_lattice_matches_the_generic_walk(m):
         pairs += len(down)
     if m == 7:
         assert pairs == 19302
+
+
+def test_partition_lattice_reads_its_tables_off_the_partitions(monkeypatch):
+    # members and Mobius values come as given: one hnf (the top), no
+    # SetPartition validation and no Mobius recursion
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(subgroups, "hnf", counted("hnf", subgroups.hnf))
+    monkeypatch.setattr(
+        SetPartition, "__post_init__", counted("validate", SetPartition.__post_init__)
+    )
+    monkeypatch.setattr(
+        SubgroupPoset, "_mobius_columns", counted("recursion", SubgroupPoset._mobius_columns)
+    )
+    for m in range(1, 8):
+        calls.clear()
+        lat = PartitionLattice(m)
+        assert calls["hnf"] <= 1
+        assert calls["validate"] == calls["recursion"] == 0
+    # the counters see the generic paths
+    calls.clear()
+    SubgroupPoset(lat.elements, TorusSubgroup(7, ()))
+    SetPartition.singletons(7)
+    assert calls == {"hnf": 1, "validate": 1, "recursion": 1}
 
 
 def test_partition_to_subgroup_matches_hnf_of_first_element_rows():
