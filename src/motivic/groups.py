@@ -289,7 +289,7 @@ class PartitionLattice(SubgroupPoset):
         elements = [partition_to_subgroup(p) for p in parts]
         super().__init__(elements, TorusSubgroup.full_torus(m))
 
-    def _generator_masks(self, order):
+    def _generator_masks(self):
         """over[e] masks the pairs {i, j} inside a block of partition e,
         below[j] the partitions with pair j inside a block."""
         pairs = {ij: k for k, ij in enumerate(combinations(range(1, self.m + 1), 2))}
@@ -301,14 +301,14 @@ class PartitionLattice(SubgroupPoset):
                 below[k] |= 1 << e
         return over, below
 
-    def _mobius_columns(self, order, downs):
+    def _mobius_columns(self, downs):
         """Rota's product formula: for a <= b, that is a coarser than b,
         mu(a, b) = prod over the blocks A of a of f(|A & min(b)|), with
         f(k) = (-1)^(k-1) (k-1)! and min(b) the set of least elements of
         b's blocks.  Each block of b lies in one block A of a and adds its
         least element to A & min(b), so the interval [a, b] is the product
         over A of partition lattices of |A & min(b)| points.  A block of
-        one element gives f(1) = 1 and is skipped; order is not needed."""
+        one element gives f(1) = 1 and is skipped."""
         f = [None] + [(-1) ** (k - 1) * factorial(k - 1) for k in range(1, self.m + 1)]
         masks = [
             [sum(1 << i for i in blk) for blk in p.blocks if len(blk) > 1]

@@ -10,16 +10,17 @@ deterministic.
 SubgroupPoset builds its incidence and Mobius tables eagerly, in exact
 Python integers with down-sets as bitmasks; numpy arrays only store them.
 Both need the family closed under intersection, since the incidence is
-read off its meet-irreducible members (generators): _generator_masks finds
-them and their incidence by a walk of containment tests, and
-_mobius_columns runs the Mobius recursion up the incidence.  A subclass
-that knows its generators may supply the masks directly, and one that
-knows a closed form for its Mobius function may supply the columns.
-Queries are read-only afterwards.
+read off generators, members such that each member is top met with those
+containing it: _generator_masks takes the meet-irreducible members and
+finds their incidence by a walk of containment tests, and _mobius_columns
+runs the Mobius recursion up the incidence.  A subclass that knows its
+generators may supply the masks directly, as a poset_close result does
+with its seeds, and one that knows a closed form for its Mobius function
+may supply the columns.  Queries are read-only afterwards.
 
 One order serves every job: poset_close lists members bottom-up by
-_down_key, the incidence walk goes down it and the Mobius pass back up.
-None of them takes a Smith form; only iso_class does.
+_down_key, and the incidence walk goes down it.  None of them takes a
+Smith form; only iso_class does.
 """
 
 from __future__ import annotations
@@ -255,6 +256,8 @@ class TorusSubgroup:
     def contains(self, other):
         """True iff other is a subgroup of self (lattice inclusion reversed)."""
         self._same_ambient(other)
+        if not self.char_lattice:
+            return True  # the full torus holds every subgroup
         pivots = _pivot_cols(other.char_lattice)
         return all(
             _row_in_lattice(row, other.char_lattice, pivots) for row in self.char_lattice
@@ -305,12 +308,14 @@ class SubgroupPoset:
 
     The caller guarantees the family is closed under pairwise intersection
     (poset_close produces such families; verify_intersection_closed checks
-    it in tests): the incidence is read off the meet-irreducible members,
-    so the tables of a family that is not closed are wrong.  Which members
-    lie in which generators comes from _generator_masks, and the Mobius
-    values from _mobius_columns; a subclass whose generators are known
-    overrides the first, one whose Mobius function has a closed form the
-    second.  Both tables are built at construction, so all queries
+    it in tests): the incidence is read off generators, so the tables of a
+    family that is not closed are wrong.  Which members lie in which
+    generators comes from _generator_masks, and the Mobius values from
+    _mobius_columns.  Built directly, the poset finds its meet-irreducible
+    members by containment tests; a subclass whose generators are known
+    overrides the first hook, as the closure of poset_close and
+    PartitionLattice do, and one whose Mobius function has a closed form
+    the second.  Both tables are built at construction, so all queries
     afterwards are read-only and safe to share across threads.
     """
 
@@ -339,36 +344,34 @@ class SubgroupPoset:
         if not all(top.contains(e) for e in elements):
             raise ValueError("top does not contain every element")
         n = len(elements)
-        # top-down: everything containing an element comes before it
-        order = sorted(range(n), key=lambda i: _down_key(elements[i].char_lattice), reverse=True)
-        downs = self._down_sets(order)
+        downs = self._down_sets()
         self._leq = np.zeros((n, n), dtype=bool)
         for b, down in enumerate(downs):
             self._leq[down, b] = True
         mu = self._mu = np.zeros((n, n), dtype=object)
-        for b, col in enumerate(self._mobius_columns(reversed(order), downs)):
+        for b, col in enumerate(self._mobius_columns(downs)):
             for a, v in col.items():
                 mu[a, b] = v
 
     # -- construction helpers
 
-    def _down_sets(self, order):
+    def _down_sets(self):
         """For each element b, the indices of the elements a inside b.
 
-        In an intersection-closed family each element is the meet of the
-        meet-irreducibles (generators) containing it, so the down-set of b
-        is the AND of the below-masks of the generators containing b.
+        Each element is top met with the generators containing it, so the
+        down-set of b is the AND of the below-masks of the generators
+        containing b.
         """
-        over, below = self._generator_masks(order)
+        over, below = self._generator_masks()
         full = (1 << len(self.elements)) - 1
         downs = (reduce(and_, (below[j] for j in _bit_indices(m)), full) for m in over)
         return [_bit_indices(down) for down in downs]
 
-    def _generator_masks(self, order):
+    def _generator_masks(self):
         """(over, below): over[e] masks the generators containing element e,
         below[j] the elements inside generator j.
 
-        The walk goes top-down through order, so the generators containing
+        The walk goes top-down by _down_key, so the generators containing
         b come before it, and b is a new generator iff some earlier
         element, counted among its own generators, lies in exactly the same
         ones.  A generator's rows are tested against L(b) only if its pivot
@@ -379,7 +382,7 @@ class SubgroupPoset:
         pivots = [_pivot_cols(lat) for lat in lattices]
         cols = [sum(1 << c for c in piv) for piv in pivots]
         gens, below, over, seen = [], [], [0] * n, set()
-        for e in order:
+        for e in sorted(range(n), key=lambda i: _down_key(lattices[i]), reverse=True):
             lat, piv, col = lattices[e], pivots[e], cols[e]
             mask = 0
             for j, g in enumerate(gens):
@@ -394,13 +397,13 @@ class SubgroupPoset:
             over[e] = mask
         return over, below
 
-    def _mobius_columns(self, order, downs):
+    def _mobius_columns(self, downs):
         """The Mobius table as one dict {a: mu(a, b)} per column b, over the
         a <= b: mu(b, b) = 1 and mu(a, b) = -sum of mu(a, c) over
-        a <= c < b, in Python integers.  The columns go bottom-up through
-        order, so the column of each c < b is done before b's."""
-        cols = [None] * len(self.elements)
-        for b in order:
+        a <= c < b, in Python integers.  The columns go by down-set size:
+        c < b has the smaller down-set, so its column is done before b's."""
+        cols = [None] * len(downs)
+        for b in sorted(range(len(downs)), key=lambda b: len(downs[b])):
             col = {b: 1}
             for c in downs[b]:
                 if c != b:
@@ -486,6 +489,18 @@ class SubgroupPoset:
         return all(a.intersect(b) in self._index for i, a in enumerate(els) for b in els[i + 1 :])
 
 
+class _Closure(SubgroupPoset):
+    """A poset_close result, whose generator masks come with it: the
+    closure's seeds serve as generators, read off the meets it took."""
+
+    def __init__(self, elements, top, over, below):
+        self._masks = over, below
+        super().__init__(elements, top)
+
+    def _generator_masks(self):
+        return self._masks
+
+
 def poset_close(seed, top):
     """Smallest intersection-closed family containing seed and top.
 
@@ -494,6 +509,18 @@ def poset_close(seed, top):
     j the family holds the meets over subsets of the first j seeds.  A pass
     costs one intersection per member and adds at least one member, so n
     members cost at most 1 + ... + (n-1) = C(n, 2) intersections.
+
+    The same meets give the incidence, with no containment test.  With k
+    passes, pass t records meets[t][i], the index of member i met with its
+    seed s_t.  A member y born in a later pass as x met with s has
+    y met with s_t = (x met with s_t) met with s, where x met with s_t was
+    a member before that pass; so its entry is a lookup, and n members cost
+    n*k lookups besides the intersections.  Member i lies in s_t iff
+    meets[t][i] == i.  Since b is top met with the seeds containing it,
+    a <= b iff a lies in every seed that contains b: the seeds, with those
+    bits as masks, serve as the generators of SubgroupPoset.  A seed
+    skipped as already a member is a meet of earlier seeds and needs no
+    bit.
 
     Members are listed bottom-up by _down_key, that is by (dimension,
     pivot product of the HNF lattice), ties broken by the HNF rows: a
@@ -506,10 +533,34 @@ def poset_close(seed, top):
     # and TypeError for a non-subgroup
     if not all(top.contains(s) for s in seed):
         raise ValueError("top does not contain every seed element")
-    family = {top}
+    members, ids, meets = [top], {top: 0}, []
     for s in seed:
-        if s not in family:
-            family |= {f.intersect(s) for f in family}
+        if s in ids:
+            continue
+        n = len(members)
+        row, parents = [], []
+        for x in range(n):
+            meet = members[x].intersect(s)
+            y = ids.setdefault(meet, len(members))
+            if y == len(members):
+                members.append(meet)
+                parents.append(x)
+            row.append(y)
+        row.extend(range(n, len(members)))  # a member born here lies in s
+        for old in meets:
+            old.extend([row[old[x]] for x in parents])
+        meets.append(row)
 
-    ordered = sorted(family, key=lambda e: (_down_key(e.char_lattice), e.char_lattice))
-    return SubgroupPoset(ordered, top)
+    order = sorted(
+        range(len(members)),
+        key=lambda i: (_down_key(members[i].char_lattice), members[i].char_lattice),
+    )
+    over, below = [0] * len(order), []
+    for k, row in enumerate(meets):
+        mask = 0
+        for pos, i in enumerate(order):
+            if row[i] == i:
+                mask |= 1 << pos
+                over[pos] |= 1 << k
+        below.append(mask)
+    return _Closure([members[i] for i in order], top, over, below)

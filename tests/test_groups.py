@@ -1,10 +1,13 @@
 import itertools
+import json
 import random
 import time
 from collections import Counter
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motivic import subgroups
 from motivic.errors import TooLarge
@@ -74,6 +77,30 @@ def test_empty_block_is_a_value_error():
         SetPartition.from_json([[1, 2], []])
 
 
+@st.composite
+def raw_partitions(draw):
+    """(m, blocks) for a set partition of {1..m}, blocks and their
+    elements in drawn order."""
+    m = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    blocks = {}
+    for x in draw(st.permutations(range(1, m + 1))):
+        blocks.setdefault(labels[x - 1], []).append(x)
+    return m, draw(st.permutations(list(blocks.values())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_partitions())
+def test_set_partition_json_round_trip(m_blocks):
+    # JSON in any block and element order reads back canonical, and the
+    # canonical JSON text reads back as the same partition
+    m, blocks = m_blocks
+    p = SetPartition.from_json(blocks)
+    assert p == SetPartition(m, blocks)
+    assert p.to_json() == sorted(sorted(b) for b in blocks)
+    assert SetPartition.from_json(json.loads(json.dumps(p.to_json()))) == p
+
+
 def test_partition_to_subgroup_examples():
     assert partition_to_subgroup(SetPartition.singletons(4)) == TorusSubgroup.full_torus(4)
     one = partition_to_subgroup(SetPartition.one_block(3))
@@ -132,25 +159,12 @@ def test_partition_lattice_matches_the_generic_walk(m):
         assert pairs == 19302
 
 
-def test_partition_lattice_reads_its_tables_off_the_partitions(monkeypatch):
+def test_partition_lattice_reads_its_tables_off_the_partitions(calls):
     # members and Mobius values come as given: one hnf (the top), no
     # SetPartition validation and no Mobius recursion
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(subgroups, "hnf", counted("hnf", subgroups.hnf))
-    monkeypatch.setattr(
-        SetPartition, "__post_init__", counted("validate", SetPartition.__post_init__)
-    )
-    monkeypatch.setattr(
-        SubgroupPoset, "_mobius_columns", counted("recursion", SubgroupPoset._mobius_columns)
-    )
+    calls.watch(subgroups, "hnf", "hnf")
+    calls.watch(SetPartition, "__post_init__", "validate")
+    calls.watch(SubgroupPoset, "_mobius_columns", "recursion")
     for m in range(1, 8):
         calls.clear()
         lat = PartitionLattice(m)

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -7,6 +8,8 @@ from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motivic import subgroups
 from motivic.errors import AmbientMismatch, NotComparable, NotInPoset, TooLarge
@@ -236,6 +239,10 @@ def test_contains_examples():
     assert not diag.contains(full)
     scalars3 = block_torus(3, [1, 2, 3])
     assert block_torus(3, [1, 2]).contains(scalars3)
+    # the full torus holds every subgroup of its own ambient rank only
+    assert full.contains(TorusSubgroup.trivial(2))
+    with pytest.raises(AmbientMismatch):
+        full.contains(TorusSubgroup.full_torus(3))
 
 
 def test_row_length_checked_before_zero_rows_drop():
@@ -345,23 +352,16 @@ def test_poset_close_matches_pairwise_oracle():
         assert list(poset_close(seeds, top).elements) == _pairwise_close(seeds, top)
 
 
-def test_poset_close_intersections_per_seed(monkeypatch):
+def test_poset_close_intersections_per_seed(calls):
     # seven generic one-row seeds in rank 6: every subset has its own meet
     rng = random.Random(31)
     seeds = [TorusSubgroup(6, (random_row(rng, 6),)) for _ in range(7)]
-    calls = []
-    intersect_method = TorusSubgroup.intersect
-
-    def counted(self, other):
-        calls.append(1)
-        return intersect_method(self, other)
-
-    monkeypatch.setattr(TorusSubgroup, "intersect", counted)
+    calls.watch(TorusSubgroup, "intersect", "intersect")
     p = poset_close(seeds, TorusSubgroup.full_torus(6))
     assert len(p) == 128
     # one pass per distinct seed, one intersection per member: 127 here,
     # against C(128, 2) = 8128 for the all-pairs walk
-    assert len(calls) <= len(set(seeds)) * len(p)
+    assert calls["intersect"] <= len(set(seeds)) * len(p)
 
 
 def test_iterable_arguments_are_read_once():
@@ -504,6 +504,40 @@ def test_subgroup_json_round_trip():
     assert AbelianGroupClass.from_json(c.to_json()) == c
 
 
+def _json_round_trip(x):
+    return type(x).from_json(json.loads(json.dumps(x.to_json())))
+
+
+@st.composite
+def raw_lattices(draw):
+    """(m, rows): up to six integer rows of length m, not in HNF."""
+    m = draw(st.integers(1, 5))
+    return m, draw(st.lists(st.lists(st.integers(-60, 60), min_size=m, max_size=m), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_lattices())
+def test_subgroup_json_round_trip_from_raw_rows(m_rows):
+    # raw rows, not in HNF: the subgroup stores their HNF, and its JSON
+    # text reads back as the same subgroup
+    m, rows = m_rows
+    s = TorusSubgroup(m, tuple(map(tuple, rows)))
+    assert s.char_lattice == hnf(rows)
+    assert _json_round_trip(s) == s
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.lists(st.integers(2, 720), max_size=6))
+def test_abelian_group_class_json_round_trip(rank, torsion):
+    # any torsion list becomes a divisor chain of the same order, which
+    # its JSON text keeps
+    c = AbelianGroupClass(rank, tuple(torsion))
+    assert prod(c.torsion) == prod(torsion)
+    assert all(b % a == 0 for a, b in zip(c.torsion, c.torsion[1:]))
+    assert _json_round_trip(c) == c
+    assert AbelianGroupClass(rank, tuple(reversed(torsion))) == c
+
+
 def assert_tables_match_definitions(p):
     """leq against contains(); mu(a, a) = 1 and mu(a, b) is minus the sum
     of mu(a, c) over a <= c < b, as a Python int."""
@@ -619,3 +653,63 @@ def test_poset_close_lists_members_bottom_up():
         shuffled = list(seeds)
         rng.shuffle(shuffled)
         assert poset_close(shuffled, top).elements == p.elements
+
+
+def closure_families(seed, count):
+    """Seeded (seeds, top) pairs for poset_close in ranks 1-4: one- and
+    two-row seeds with entries in [-4, 4] (so most have torsion), then a
+    redundant seed (the meet of two earlier ones), a duplicate and the top
+    itself, in shuffled order, with the redundant seed or None.  Every
+    third top lies below the full torus, and the first family has no
+    seeds."""
+    rng = random.Random(seed)
+    yield [], TorusSubgroup.full_torus(2), None
+    for k in range(count):
+        m = rng.randint(1, 4)
+        top = TorusSubgroup(m, (random_row(rng, m, 4),) if k % 3 == 0 else ())
+        seeds = [
+            top.intersect(
+                TorusSubgroup(m, tuple(random_row(rng, m, 4) for _ in range(rng.choice((1, 1, 2)))))
+            )
+            for _ in range(rng.randint(1, 5))
+        ]
+        extras = [rng.choice(seeds), top]
+        meet = None
+        if len(seeds) > 1:
+            a, b = rng.sample(seeds, 2)
+            meet = a.intersect(b)
+            extras.append(meet)
+        rng.shuffle(extras)
+        yield seeds + extras, top, meet
+
+
+def test_poset_close_tables_match_the_generic_walk():
+    # oracle: the same members through SubgroupPoset's containment walk
+    below_full = redundant = 0
+    for seeds, top, meet in closure_families(71, 300):
+        p = poset_close(seeds, top)
+        generic = SubgroupPoset(p.elements, top)
+        n = len(p)
+        for j in range(n):
+            for i in range(n):
+                assert p.leq_by_index(i, j) == generic.leq_by_index(i, j)
+                if p.leq_by_index(i, j):
+                    assert p.mobius_by_index(i, j) == generic.mobius_by_index(i, j)
+        below_full += top.dim < top.ambient_rank
+        # a seed that is a member by its turn, and no duplicate of another
+        redundant += meet is not None and meet != top and seeds.count(meet) == 1
+    assert below_full >= 90 and redundant >= 100
+
+
+def test_poset_close_makes_no_containment_test(calls):
+    # the closure's incidence comes from its own meets
+    calls.watch(subgroups, "_row_in_lattice", "row test")
+    for elements in torsion_families(73, 40):
+        poset_close(elements, TorusSubgroup.full_torus(elements[0].ambient_rank))
+    for seeds in lattice_seeds(79, 3):
+        poset_close(seeds, TorusSubgroup.full_torus(6))
+    assert calls["row test"] == 0
+    # the counter sees the generic walk
+    p = poset_close(seeds, TorusSubgroup.full_torus(6))
+    SubgroupPoset(p.elements, p.top)
+    assert calls["row test"] > 0
