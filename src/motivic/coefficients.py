@@ -8,8 +8,8 @@ defining Mobius-weighted sum over it is the test oracle.  Consistency is
 E = (l - 1) * log G itself, so it checks the block-size-type products
 (bgl_type_terms) against the recurrence; the E recursion (both sides exp
 coefficients) and the Mobius oracle check E independently.  The same sum
-over every set partition lives on as the point-stack model's projection
-(stackcalc.upsilon_pi_mu).
+over every set partition lives on as the point-stack model's
+abelianization (stackcalc.abelianize_model), which projections weight.
 """
 
 from __future__ import annotations

@@ -37,11 +37,11 @@ CONSISTENCY_GUARD = 6
 # with gen_euler.
 ABELIANIZE_GUARD = 6
 
-# stackcalc.upsilon_pi_mu on a GL(m) model: one term per set partition of
-# {1..m} and stratum; the GL(5) point model takes 0.03 s.
+# stackcalc.abelianize_model, behind every projection, on a GL(m) model: one
+# term per set partition of {1..m} and stratum; the GL(5) point model 0.03 s.
 MODEL_GL_GUARD = 5
 
-# stackcalc.upsilon_pi_mu on a torus model: linear in the strata, so this
+# stackcalc.abelianize_model on a torus model: linear in the strata, so this
 # bounds no measured cost (0.02 s for the 64 strata of G_m^6 on A^6).
 MODEL_TORUS_GUARD = 6
 

@@ -6,9 +6,11 @@ Weight functions act diagonally on that basis; the virtual-rank family is
 the special case of indicator weights on the torus dimension.
 
 A G-variety enters only through its stratification by exact diagonal-torus
-stabilizer, as a StratifiedModel.  That is precisely the input needed by
-the scalar evaluation of the weighted projections, which combines the
-stratum classes with block-torus data and the E coefficients.
+stabilizer, as a StratifiedModel.  abelianize_model writes the quotient
+stack as an element of the ring, combining the stratum classes with
+block-torus data and the E coefficients; a weighted projection is a weight
+applied to that element, its coefficients summed.  abelianize_bgl gives the
+point stack BGL(m) the same way, grouped by block-size type.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .ratfield import (
     pi_eval,
     signed_sum,
 )
-from .subgroups import AbelianGroupClass, TorusSubgroup, poset_close
+from .subgroups import AbelianGroupClass, TorusSubgroup
 
 __all__ = [
     "LambdaBarElem",
@@ -48,11 +50,11 @@ __all__ = [
     "StratifiedModel",
     "lbar_mul",
     "abelianize_bgl",
+    "abelianize_model",
     "gen_euler",
     "pi_mu_lbar",
     "weight_mul",
     "model_total_upsilon",
-    "p_lattice",
     "upsilon_pi_mu",
     "pi_re_n",
 ]
@@ -321,17 +323,7 @@ class StratifiedModel:
 
 def model_total_upsilon(x):
     """Class of the underlying variety: the sum over strata."""
-    total = ZERO
-    for _, cls in x.strata:
-        total = total + cls
-    return total
-
-
-def p_lattice(x):
-    """Intersection closure of the realized stabilizers, topped by the
-    full torus."""
-    top = TorusSubgroup.full_torus(x.ambient_rank)
-    return poset_close([stab for stab, _ in x.strata], top)
+    return sum((cls for _, cls in x.strata), ZERO)
 
 
 def pi_re_n(x, n):
@@ -347,31 +339,32 @@ def pi_re_n(x, n):
     return StratifiedModel(x.group, kept)
 
 
-def upsilon_pi_mu(x, mu):
-    """Scalar class of the weighted projection of the quotient stack.
-
-    Double sum over block tori Q' and realized stabilizers P' of
-      class(P') * mu(P' meet Q') * E(GL(m), Q') / Upsilon(Q'),
+def abelianize_model(x):
+    """Class of the quotient stack in the torus basis: the sum over block
+    tori Q' and strata (P', c) of
+      c * E(GL(m), Q') / Upsilon(Q') * [iso(P' meet Q')],
     with Upsilon(Q') = (l - 1)^rank(Q').  A torus model has the single
-    block torus Q' = full torus with E = 1.
-    """
+    block torus Q' = full torus with E = 1."""
     m = x.ambient_rank
     if isinstance(x.group, GeneralLinear):
         if m > MODEL_GL_GUARD:
             raise TooLarge("GL models guarded at rank <= %d" % MODEL_GL_GUARD)
         blocks = [
-            (partition_to_subgroup(q), e_coeff_gl(q), q.n_blocks)
+            (partition_to_subgroup(q), e_coeff_gl(q) / upsilon_group(torus(q.n_blocks)))
             for q in enumerate_partitions(m)
         ]
     else:
         if m > MODEL_TORUS_GUARD:
             raise TooLarge("torus models guarded at rank <= %d" % MODEL_TORUS_GUARD)
-        blocks = [(TorusSubgroup.full_torus(m), ONE, m)]
-    total = ZERO
-    for sub_q, e_q, rank in blocks:
-        e_over_ups = e_q / upsilon_group(torus(rank))
-        for stab, cls in x.strata:
-            w = mu.evaluate(stab.intersect(sub_q).iso_class())
-            if w:
-                total = total + cls * RatFunc(w) * e_over_ups
-    return total
+        blocks = [(TorusSubgroup.full_torus(m), ONE / upsilon_group(torus(m)))]
+    return LambdaBarElem(
+        (stab.intersect(sub_q).iso_class(), cls * e_over_ups)
+        for sub_q, e_over_ups in blocks
+        for stab, cls in x.strata
+    )
+
+
+def upsilon_pi_mu(x, mu):
+    """Scalar class of the weighted projection of the quotient stack: the
+    coefficient sum of the weight applied to abelianize_model(x)."""
+    return sum(pi_mu_lbar(mu, abelianize_model(x)).terms.values(), ZERO)

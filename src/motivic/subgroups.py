@@ -340,9 +340,6 @@ class SubgroupPoset:
         self.elements = elements
         self.top = top
         self._index = index
-        # the walk in _generator_masks takes this for granted, so test it here
-        if not all(top.contains(e) for e in elements):
-            raise ValueError("top does not contain every element")
         n = len(elements)
         downs = self._down_sets()
         self._leq = np.zeros((n, n), dtype=bool)
@@ -375,8 +372,11 @@ class SubgroupPoset:
         b come before it, and b is a new generator iff some earlier
         element, counted among its own generators, lies in exactly the same
         ones.  A generator's rows are tested against L(b) only if its pivot
-        columns are among b's, as those of any sublattice are.
+        columns are among b's, as those of any sublattice are.  The walk
+        takes top to hold every element, so it tests that first.
         """
+        if not all(self.top.contains(e) for e in self.elements):
+            raise ValueError("top does not contain every element")
         n = len(self.elements)
         lattices = [e.char_lattice for e in self.elements]
         pivots = [_pivot_cols(lat) for lat in lattices]

@@ -51,7 +51,14 @@ from motivic.guards import (
     RECURSION_GUARD,
 )
 from motivic.ratfield import ELL, ONE, ZERO, pi_eval
-from motivic.stackcalc import StratifiedModel, WeightFn, abelianize_bgl, gen_euler, upsilon_pi_mu
+from motivic.stackcalc import (
+    StratifiedModel,
+    WeightFn,
+    abelianize_bgl,
+    abelianize_model,
+    gen_euler,
+    upsilon_pi_mu,
+)
 from motivic.subgroups import TorusSubgroup, poset_close
 
 REFUSAL_S = 0.5
@@ -175,6 +182,7 @@ def _():
     total = accepted(2.0, upsilon_pi_mu, point_model(GeneralLinear(m)), WeightFn.const_one())
     assert total == ONE / upsilon_group(GeneralLinear(m))
     refused(TooLarge, upsilon_pi_mu, point_model(GeneralLinear(m + 1)), WeightFn.const_one())
+    refused(TooLarge, abelianize_model, point_model(GeneralLinear(m + 1)))
 
 
 @edge("MODEL_TORUS_GUARD")
@@ -183,6 +191,7 @@ def _():
     total = accepted(1.0, upsilon_pi_mu, coordinate_model(m), WeightFn.const_one())
     assert total == ELL**m / (ELL - 1) ** m
     refused(TooLarge, upsilon_pi_mu, point_model(torus(m + 1)), WeightFn.const_one())
+    refused(TooLarge, abelianize_model, point_model(torus(m + 1)))
 
 
 @edge("CROSSCUT_GUARD")

@@ -31,7 +31,7 @@ def _transcripts():
 
 def test_library_tour_runs(capsys):
     exec(_block_after("## Library tour", "python"), {})
-    assert capsys.readouterr().out == "1/2*[Gm^2] - 3/4*[Gm]\n"
+    assert capsys.readouterr().out == "1/2*[Gm^2] - 3/4*[Gm]\n1/(l^2 - 2*l + 1)*[Gm^2]\n"
 
 
 def test_check_suite_list_states_the_limits():

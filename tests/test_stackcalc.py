@@ -8,10 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motivic import checks, stackcalc
 from motivic.errors import NotAbelian, PoleAtOne, TooLarge
 from motivic.expr import eval_class, parse
-from motivic.groups import GeneralLinear, SetPartition, torus, upsilon_group
-from motivic.guards import MODEL_GL_GUARD
+from motivic.coefficients import e_coeff_gl
+from motivic.groups import (
+    GeneralLinear,
+    SetPartition,
+    enumerate_partitions,
+    partition_to_subgroup,
+    torus,
+    upsilon_group,
+)
+from motivic.guards import MODEL_GL_GUARD, MODEL_TORUS_GUARD
 from motivic.models import (
     gl2_flag_model,
     gl3_flag_model,
@@ -36,16 +45,16 @@ from motivic.stackcalc import (
     StratifiedModel,
     WeightFn,
     abelianize_bgl,
+    abelianize_model,
     gen_euler,
     lbar_mul,
     model_total_upsilon,
-    p_lattice,
     pi_mu_lbar,
     pi_re_n,
     upsilon_pi_mu,
     weight_mul,
 )
-from motivic.subgroups import AbelianGroupClass, TorusSubgroup
+from motivic.subgroups import AbelianGroupClass, TorusSubgroup, poset_close
 
 L = ELL
 
@@ -205,6 +214,10 @@ def test_model_total_upsilon():
 
 
 def test_p_lattice_examples():
+    # the intersection closure of a model's stabilizers, topped by the full torus
+    def p_lattice(x):
+        return poset_close([s for s, _ in x.strata], TorusSubgroup.full_torus(x.ambient_rank))
+
     single = StratifiedModel(GeneralLinear(2), ((TorusSubgroup.full_torus(2), ONE),))
     assert len(p_lattice(single)) == 1
     assert len(p_lattice(gl2_flag_model())) == 2
@@ -274,12 +287,125 @@ def test_point_stack_model_matches_abelianization():
             GeneralLinear(m), ((TorusSubgroup.full_torus(m), ONE),)
         )
         expansion = abelianize_bgl(m)
+        # class by class, [Gm^n] carries the type-grouped coefficient over
+        # the (l - 1)^n of the rank-n block torus
+        assert abelianize_model(model) == LambdaBarElem(
+            (cls, v / (L - 1) ** cls.torus_rank) for cls, v in expansion.terms.items()
+        )
         for n in range(m + 2):
             got = upsilon_pi_mu(model, WeightFn.virtual_rank(n))
             coeff = expansion.coeff(AbelianGroupClass(n))
             assert got == coeff / (L - 1) ** n
         total = upsilon_pi_mu(model, WeightFn.const_one())
         assert total == ONE / upsilon_group(GeneralLinear(m))
+
+
+def fused_upsilon_pi_mu(x, mu):
+    """Oracle: the weighted projection as one double sum over block tori Q'
+    and strata (P', c) of c * mu(P' meet Q') * E(GL(m), Q') / Upsilon(Q'),
+    the weight evaluated on every pair and no class collected."""
+    m = x.ambient_rank
+    if isinstance(x.group, GeneralLinear):
+        blocks = [
+            (partition_to_subgroup(q), e_coeff_gl(q), q.n_blocks)
+            for q in enumerate_partitions(m)
+        ]
+    else:
+        blocks = [(TorusSubgroup.full_torus(m), ONE, m)]
+    total = ZERO
+    for sub_q, e_q, rank in blocks:
+        e_over_ups = e_q / upsilon_group(torus(rank))
+        for stab, cls in x.strata:
+            w = mu.evaluate(stab.intersect(sub_q).iso_class())
+            if w:
+                total = total + cls * RatFunc(w) * e_over_ups
+    return total
+
+
+def seeded_weights(seed, count):
+    """Weights with class overrides (torsion classes such as Z/2 among
+    them), rank weights and a default, plus the rank and constant ones."""
+    rng = random.Random(seed)
+
+    def small():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def cls():
+        return AbelianGroupClass(rng.randint(0, 3), rng.sample([2, 2, 3, 4], rng.randint(0, 2)))
+
+    out = [WeightFn.const_one()] + [WeightFn.virtual_rank(n) for n in range(6)]
+    for _ in range(count):
+        overrides = {cls(): small() for _ in range(rng.randint(0, 3))}
+        ranks = tuple((r, small()) for r in rng.sample(range(5), rng.randint(0, 3)))
+        out.append(WeightFn(tuple(overrides.items()), ranks, small()))
+    return out
+
+
+def test_projection_matches_fused_double_sum():
+    models = [make() for make in (gl2_flag_model, gl3_flag_model, gl3_free_model)]
+    models += [torus_weighted_line_model(), torus_plane_model()]
+    models += [
+        StratifiedModel(GeneralLinear(m), ((TorusSubgroup.full_torus(m), ONE),))
+        for m in range(1, MODEL_GL_GUARD + 1)
+    ]
+    weights = seeded_weights(29, 40)
+    assert any(c.torsion for w in weights for c, _ in w.class_overrides)
+    for model in models:
+        for mu in weights:
+            assert upsilon_pi_mu(model, mu) == fused_upsilon_pi_mu(model, mu)
+
+
+def random_torus_model(rng, m):
+    """A torus model of rank m with distinct random stabilizers, torsion
+    among them, and small polynomial stratum classes."""
+    stabs = {
+        TorusSubgroup(m, tuple(tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(k)))
+        for k in [rng.randint(0, m) for _ in range(rng.randint(1, 3))]
+    }
+    return StratifiedModel(
+        torus(m),
+        tuple((s, RatFunc(tuple(Fraction(rng.randint(-2, 2)) for _ in range(2)))) for s in stabs),
+    )
+
+
+def external_product(x, y):
+    """X x Y under the product torus: block-diagonal stabilizers, stratum
+    classes multiplied."""
+    a, b = x.ambient_rank, y.ambient_rank
+
+    def stab(p, q):
+        rows = [r + (0,) * b for r in p.char_lattice] + [(0,) * a + r for r in q.char_lattice]
+        return TorusSubgroup(a + b, tuple(rows))
+
+    return StratifiedModel(
+        torus(a + b),
+        tuple((stab(p, q), c * d) for p, c in x.strata for q, d in y.strata),
+    )
+
+
+def test_abelianize_model_is_multiplicative():
+    # the paper's Upsilon(X x Y) = Upsilon(X) Upsilon(Y), in the ring
+    rng = random.Random(31)
+    builtin = [torus_weighted_line_model(), torus_plane_model()]
+    pairs = [(x, y) for x in builtin for y in builtin]
+    while len(pairs) < 30:
+        a = rng.randint(1, MODEL_TORUS_GUARD - 1)
+        b = rng.randint(1, MODEL_TORUS_GUARD - a)
+        pairs.append((random_torus_model(rng, a), random_torus_model(rng, b)))
+    torsion = 0
+    for x, y in pairs:
+        got = abelianize_model(external_product(x, y))
+        assert got == lbar_mul(abelianize_model(x), abelianize_model(y))
+        torsion += any(c.torsion for c in got.terms)
+    assert torsion >= 5
+
+
+def test_model_pi1_abelianizes_each_model_once(calls):
+    # once per model in each of the suite's two loops: 5 + 3 at --max 3
+    for module in (stackcalc, checks):
+        calls.watch(module, "abelianize_model", "abelianize")
+    assert checks.check_model_pi1(3).ok
+    assert calls["abelianize"] == 8
 
 
 def test_torus_weighted_line_model():

@@ -713,3 +713,14 @@ def test_poset_close_makes_no_containment_test(calls):
     p = poset_close(seeds, TorusSubgroup.full_torus(6))
     SubgroupPoset(p.elements, p.top)
     assert calls["row test"] > 0
+    # under a one-row top only the seed check tests containment: one
+    # contains, and so one row test, per seed, however many members
+    calls.clear()
+    calls.watch(TorusSubgroup, "contains", "contains")
+    n_seeds = n_members = 0
+    for seeds in lattice_seeds(83, 3):
+        top, seeds = seeds[0], [seeds[0].intersect(s) for s in seeds[1:]]
+        n_members += len(poset_close(seeds, top))
+        n_seeds += len(seeds)
+    assert calls["contains"] == calls["row test"] == n_seeds
+    assert n_members > 2 * n_seeds
