@@ -5,15 +5,18 @@ library bottoms out here.  Values are immutable and always kept in a
 canonical reduced form (denominator monic, gcd(num, den) = 1), so equality
 is plain component comparison and results are reproducible across runs.
 
-No floating point is used anywhere.  A polynomial is stored as a rational
-content times a primitive integer coefficient tuple, and the arithmetic runs
-on those integers: a product is one big-integer product (Kronecker
-substitution), and the gcd that keeps a quotient reduced is the heuristic
-gcd GCDHEU of Char, Geddes and Gonnet (1989), whose evaluation point grows
-until its answer checks.  Both write coefficients into k-bit slots of one
-integer; nearly all slots are 1 to 8 bytes, so runs of more than 8 in a
-machine-word slot are converted as one array of unsigned words.  Fraction
-coefficients are only derived for output, and JSON is rendered without them.
+No floating point is used anywhere.  A value is a RatFunc: two
+Polynomials, each stored as a rational content times a primitive integer
+coefficient tuple.  Polynomial has no arithmetic; RatFunc's operators work on
+the stored parts and hand every sum, difference, product and quotient to the
+RatFunc constructor, so the reduction is written once.  A product of integer
+tuples is one big-integer product (Kronecker substitution), and the gcd that
+reduces is the heuristic gcd GCDHEU of Char, Geddes and Gonnet (1989), whose
+evaluation point grows until its answer checks.  Both write coefficients
+into k-bit slots of one integer; nearly all slots are 1 to 8 bytes, so runs
+of more than 8 in a machine-word slot are converted as one array of unsigned
+words.  Fraction coefficients are only derived for output, and JSON is
+rendered without them.
 """
 
 from __future__ import annotations
@@ -47,13 +50,16 @@ def exact_fraction(c):
 
 
 class Polynomial:
-    """Dense univariate polynomial over Q, stored as content * ints.
+    """Dense univariate polynomial over Q, stored as content * ints: the
+    numerator or denominator of a RatFunc.
 
     `ints` is a tuple of integers indexed by degree, with gcd 1 and a
     positive last (leading) entry, and `content` is a nonzero Fraction.
     The zero polynomial is content 0 with ints (), and ``degree`` returns
-    the sentinel -1 for it (never fed into arithmetic shortcuts).  The
-    Fraction coefficients are derived on demand, for output only.
+    the sentinel -1 for it.  It has no ring operators: Q(l) arithmetic is
+    RatFunc's, on these stored parts, so that every result is reduced by
+    one constructor.  The Fraction coefficients are derived on demand, for
+    output only.
     """
 
     __slots__ = ("content", "ints")
@@ -64,14 +70,6 @@ class Polynomial:
         self.content, self.ints = _primitive(
             Fraction(1, den), [c.numerator * (den // c.denominator) for c in cs]
         )
-
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
-    @classmethod
-    def ell(cls):
-        return cls((0, 1))
 
     @property
     def coeffs(self):
@@ -86,12 +84,6 @@ class Polynomial:
 
     def is_zero(self):
         return not self.ints
-
-    @property
-    def leading(self):
-        if not self.ints:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.content * self.ints[-1]
 
     def __bool__(self):
         return bool(self.ints)
@@ -111,67 +103,6 @@ class Polynomial:
 
     def __repr__(self):
         return "Polynomial(%r)" % (self.coeffs,)
-
-    def __str__(self):
-        return _poly_str(self.coeffs, _l_monomial)
-
-    def __neg__(self):
-        return _poly(-self.content, self.ints)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial((other,))
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        # self + other = (content / r.den) * (r.den * ints + r.num * other.ints)
-        r = other.content / self.content
-        a = [r.denominator * c for c in self.ints]
-        b = [r.numerator * c for c in other.ints]
-        if len(a) < len(b):
-            a, b = b, a
-        for i, c in enumerate(b):
-            a[i] += c
-        return _poly(*_primitive(self.content / r.denominator, a))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, Polynomial)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = exact_fraction(other)
-            return _poly(self.content * c, self.ints) if c else Polynomial(())
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial(())
-        # Gauss's lemma: a product of primitive parts is primitive
-        return _poly(self.content * other.content, _mul_ints(self.ints, other.ints))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Polynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
 
     def eval_at(self, x):
         """The value at x, a Fraction: Horner over the integers on x = p/q,
@@ -256,24 +187,17 @@ def _pack_halves(ints, k):
 
 def _unpack(v, k, length):
     """The lowest `length` balanced base-2^k digits of v, each in
-    [-2^(k-1), 2^(k-1)), lowest first; k is a multiple of 8.  More than 8
-    machine-word digits are biased to unsigned words and read as one array;
-    others are read one at a time, carrying into the next."""
+    [-2^(k-1), 2^(k-1)), lowest first; k is a multiple of 8.  Adding
+    2^(k-1) to every slot makes each digit unsigned, so the slots are read
+    with no carry: more than 8 machine-word digits as one array, others one
+    at a time."""
     n = k >> 3
-    half, low = 1 << (k - 1), (1 << (k * length)) - 1
+    half = 1 << (k - 1)
+    raw = ((v + _slot_bias(n, length)) & ((1 << (k * length)) - 1)).to_bytes(n * length, "little")
     code = _WORDS.get(n) if length > 8 else None
     if code:
-        raw = ((v + _slot_bias(n, length)) & low).to_bytes(n * length, "little")
         return [d - half for d in memoryview(raw).cast(code)]
-    raw = (v & low).to_bytes(n * length, "little")
-    full = 1 << k
-    out = []
-    carry = 0
-    for i in range(0, n * length, n):
-        d = int.from_bytes(raw[i : i + n], "little") + carry
-        carry = d >= half
-        out.append(d - full if carry else d)
-    return out
+    return [int.from_bytes(raw[i : i + n], "little") - half for i in range(0, n * length, n)]
 
 
 def _mul_ints(a, b):
@@ -383,21 +307,24 @@ class RatFunc:
 
     Canonical form: denominator monic and nonzero, gcd(num, den) = 1, and
     the zero function stored as 0/1.  Equality and hashing rely on this.
+    The operators work on the stored parts (content, ints) of num and den,
+    and each sum, difference, product and quotient is built by the
+    constructor, so one reduction, the gcd of the numerator against the
+    whole denominator, keeps every result canonical.  Negation and powers
+    keep a reduced value reduced and skip it.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
+    def __init__(self, num, den=1):
         if not isinstance(num, Polynomial):
             num = Polynomial((num,)) if not isinstance(num, (tuple, list)) else Polynomial(num)
-        if den is None:
-            den = Polynomial.one()
-        elif not isinstance(den, Polynomial):
+        if not isinstance(den, Polynomial):
             den = Polynomial((den,)) if not isinstance(den, (tuple, list)) else Polynomial(den)
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
         if num.is_zero():
-            den = Polynomial.one()  # zero is stored as 0/1
+            den = Polynomial((1,))  # zero is stored as 0/1
         n, d = num.ints, den.ints
         if len(d) > 1:
             _, n, d = _gcd_parts(n, d)
@@ -407,15 +334,15 @@ class RatFunc:
 
     @classmethod
     def zero(cls):
-        return cls(Polynomial(()))
+        return cls(0)
 
     @classmethod
     def one(cls):
-        return cls(Polynomial.one())
+        return cls(1)
 
     @classmethod
     def ell(cls):
-        return cls(Polynomial.ell())
+        return cls((0, 1))
 
     def is_zero(self):
         return self.num.is_zero()
@@ -451,7 +378,7 @@ class RatFunc:
 
     def __neg__(self):
         out = RatFunc.__new__(RatFunc)
-        out.num = -self.num
+        out.num = _poly(-self.num.content, self.num.ints)
         out.den = self.den
         return out
 
@@ -459,7 +386,7 @@ class RatFunc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
@@ -467,7 +394,7 @@ class RatFunc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
         return _value(other) - self
@@ -476,7 +403,7 @@ class RatFunc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return RatFunc(_times(self.num, other.num), _times(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -486,7 +413,7 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return RatFunc(_times(self.num, other.den), _times(self.den, other.num))
 
     def __rtruediv__(self, other):
         return _value(other) / self
@@ -498,8 +425,8 @@ class RatFunc:
             return (RatFunc.one() / self) ** (-k)
         # coprime num and monic den stay coprime and monic under powers
         out = RatFunc.__new__(RatFunc)
-        out.num = self.num**k
-        out.den = self.den if self.den.degree == 0 else self.den**k
+        out.num = _raised(self.num, k)
+        out.den = _raised(self.den, k)
         return out
 
     def to_json(self):
@@ -511,6 +438,47 @@ class RatFunc:
         num = Polynomial([Fraction(c) for c in obj["num"]])
         den = Polynomial([Fraction(c) for c in obj["den"]])
         return cls(num, den)
+
+
+def _times(p, q):
+    """The Polynomial p * q from stored parts; by Gauss's lemma a product
+    of primitive parts is primitive."""
+    if not (p.ints and q.ints):
+        return _poly(Fraction(0), ())
+    return _poly(p.content * q.content, _mul_ints(p.ints, q.ints))
+
+
+def _sum(f, g, sign):
+    """f + sign * g, as the constructor's reduction of the cross products
+    a = f.num * g.den and c = g.num * f.den over f.den * g.den."""
+    a, c = _times(f.num, g.den), _times(g.num, f.den)
+    den = _times(f.den, g.den)
+    if not a.ints:
+        return RatFunc(_poly(sign * c.content, c.ints), den)
+    # a + sign * c = (a.content / r.den) * (r.den * a.ints + r.num * c.ints)
+    r = sign * c.content / a.content
+    x = [r.denominator * v for v in a.ints]
+    y = [r.numerator * v for v in c.ints]
+    if len(x) < len(y):
+        x, y = y, x
+    for i, v in enumerate(y):
+        x[i] += v
+    return RatFunc(_poly(*_primitive(a.content / r.denominator, x)), den)
+
+
+def _raised(p, k):
+    """The Polynomial p^k for k >= 0: content^k times ints^k by repeated
+    squaring, which Gauss's lemma keeps primitive."""
+    if len(p.ints) <= 1:  # a constant's ints, (1,) or (), are their own powers
+        return _poly(p.content**k, p.ints if k else (1,))
+    out, base, e = [1], p.ints, k
+    while e:
+        if e & 1:
+            out = _mul_ints(out, base)
+        e >>= 1
+        if e:
+            base = _mul_ints(base, base)
+    return _poly(p.content**k, out)
 
 
 def _coerce(x):

@@ -210,7 +210,7 @@ def test_e_structure_past_the_guard():
     for m, e in enumerate(es, 1):
         assert pi_eval(e) == Fraction((-1) ** (m - 1) * comb(2 * m - 1, m), m * m)
         weight = m * L ** comb(m, 2) * (L**m - 1) / (L - 1)
-        assert e.den == weight.num * Fraction(1, m)
+        assert e.den == (weight / m).num
         scaled = weight * e
         assert scaled.den == ONE.den and all(c.denominator == 1 for c in scaled.num.coeffs)
     assert pi_eval(es[9]) == Fraction(-46189, 50)

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 import sys
 from array import array
@@ -54,7 +55,7 @@ def test_div_by_zero():
 
 def test_canonical_form_monic_den_reduced():
     f = RatFunc(Polynomial((2, 2)), Polynomial((-4, 0, 4)))  # (2l+2)/(4l^2-4)
-    assert f.den.leading == 1
+    assert f.den.coeffs[-1] == 1
     assert f == RatFunc(Polynomial((Fraction(1, 2),)), Polynomial((-1, 1)))
     # renormalizing a canonical value is the identity
     again = RatFunc(f.num, f.den)
@@ -135,7 +136,7 @@ def ratfuncs():
     def build(num, den):
         den_poly = Polynomial(den)
         if den_poly.is_zero():
-            den_poly = Polynomial.one()
+            den_poly = Polynomial((1,))
         return RatFunc(Polynomial(num), den_poly)
 
     return st.builds(
@@ -181,14 +182,14 @@ def test_canonical_str_of_constant_is_fraction_str(q):
 @given(ratfuncs())
 def test_canonical_idempotent(a):
     assert RatFunc(a.num, a.den) == a
-    assert a.den.leading == 1
+    assert a.den.coeffs[-1] == 1
 
 
 def test_power_matches_repeated_product():
     rng = random.Random(17)
     for _ in range(30):
         num = Polynomial([rng.randint(-4, 4) for _ in range(rng.randint(0, 4))])
-        den = Polynomial([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]) or Polynomial.one()
+        den = Polynomial([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]) or Polynomial((1,))
         f = RatFunc(num, den)
         product = ONE
         for k in range(7):
@@ -510,8 +511,8 @@ def test_gcd_point_grows_past_large_cofactors():
         terms.append(coeff / (L - 1) ** len(sizes))
     total = sum(terms[:-1], ZERO)
     last = terms[-1]
-    f = (total.num * last.den + last.num * total.den).ints
-    g = (total.den * last.den).ints
+    f = (RatFunc(total.num) * RatFunc(last.den) + RatFunc(last.num) * RatFunc(total.den)).num.ints
+    g = (RatFunc(total.den) * RatFunc(last.den)).num.ints
     h, cf, cg = _gcd_parts(f, g)
     assert (len(f), len(g), len(h)) == (325, 343, 48)
     assert max(map(abs, g)) < 2**7 and max(map(abs, cf)).bit_length() >= 45
@@ -520,11 +521,11 @@ def test_gcd_point_grows_past_large_cofactors():
 
 
 def test_products_of_constants_and_zero():
-    p = Polynomial((Fraction(-3, 2), 0, 5))
-    zero = Polynomial(())
+    p = RatFunc((Fraction(-3, 2), 0, 5))
+    zero = RatFunc(())
     assert p * zero == zero and zero * p == zero and zero * zero == zero
-    assert p * Polynomial((Fraction(2, 3),)) == Polynomial((-1, 0, Fraction(10, 3)))
-    assert Polynomial((7,)) * Polynomial((Fraction(-1, 7),)) == Polynomial((-1,))
+    assert p * RatFunc((Fraction(2, 3),)) == RatFunc((-1, 0, Fraction(10, 3)))
+    assert RatFunc((7,)) * RatFunc((Fraction(-1, 7),)) == RatFunc((-1,))
     assert _mul_ints([5], [-3]) == [-15]
 
 
@@ -569,8 +570,9 @@ def polynomial_pairs(draw):
 @settings(max_examples=150, deadline=None)
 @given(polynomial_pairs(), st.integers(0, 4), rationals)
 def test_polynomial_arithmetic_matches_fraction_lists(pair, k, x):
+    # Q(l) arithmetic over denominator 1, so every result is a polynomial
     a, b = pair
-    pa, pb = Polynomial(a), Polynomial(b)
+    pa, pb = RatFunc(a), RatFunc(b)
     cases = (
         (pa, a),
         (pa + pb, added(a, b)),
@@ -581,8 +583,81 @@ def test_polynomial_arithmetic_matches_fraction_lists(pair, k, x):
         (pa**k, poly_power(a, k)),
     )
     for got, want in cases:
-        assert_stored_form(got)
-        assert got.coeffs == tuple(_trimmed(want))
-        assert got == Polynomial(want) and hash(got) == hash(Polynomial(want))
-    assert pa.eval_at(x) == sum(c * x**i for i, c in enumerate(a))
+        assert_stored_form(got.num)
+        assert got.num.coeffs == tuple(_trimmed(want)) and got.den.coeffs == (1,)
+        assert got.num == Polynomial(want) and hash(got.num) == hash(Polynomial(want))
+        assert hash(got) == hash(Polynomial(want))
+    assert pa.num.eval_at(x) == sum(c * x**i for i, c in enumerate(a))
     assert Polynomial((x,)) == x and hash(Polynomial((x,))) == hash(x)
+
+
+# ---------------------------------------------------------------------------
+# RatFunc's operators at real widths, against Fraction lists
+
+
+def cyclotomic(d):
+    """Phi_d as an integer list: l^d - 1 over Phi_e for each proper divisor e."""
+    out = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            out = oracle_divmod(out, cyclotomic(e))[0]
+    return [int(c) for c in out]
+
+
+# both signs, unrelated denominators up to 10^12, and magnitudes to 10^40
+wide_rationals = st.one_of(
+    st.fractions(max_denominator=10**12),
+    st.builds(lambda q, e: q * 10**e, st.fractions(max_denominator=10**6), st.integers(10, 40)),
+)
+
+
+@st.composite
+def shared_denominator_pairs(draw):
+    """Two values (num, den) as Fraction lists whose denominators share
+    l^i (l - 1)^j Phi_d^k, over cofactors with wide rational coefficients;
+    a numerator may share some of it, or be zero."""
+    common = [0] * draw(st.integers(0, 3)) + poly_power([-1, 1], draw(st.integers(0, 6)))
+    phi = cyclotomic(draw(st.integers(2, 12)))
+    common = schoolbook(common, poly_power(phi, draw(st.integers(0, 2))))
+
+    def value():
+        num = draw(st.lists(wide_rationals, max_size=4))
+        if num and draw(st.booleans()):
+            num = schoolbook(num, common[: draw(st.integers(1, len(common)))] or [1])
+        den = draw(st.lists(wide_rationals, min_size=1, max_size=3).filter(any))
+        return num, schoolbook(den, common)
+
+    return value(), value()
+
+
+@settings(max_examples=40, deadline=None)
+@given(shared_denominator_pairs())
+def test_operators_match_fraction_lists(pair):
+    (a, b), (c, d) = pair
+    f, g = RatFunc(Polynomial(a), Polynomial(b)), RatFunc(Polynomial(c), Polynomial(d))
+    cases = [
+        (f + g, added(schoolbook(a, d), schoolbook(c, b)), schoolbook(b, d)),
+        (f - g, added(schoolbook(a, d), [-x for x in schoolbook(c, b)]), schoolbook(b, d)),
+        (f * g, schoolbook(a, c), schoolbook(b, d)),
+    ]
+    if _trimmed(c):
+        cases.append((f / g, schoolbook(a, d), schoolbook(b, c)))
+    for got, num, den in cases:
+        assert (got.num.coeffs, got.den.coeffs) == oracle_reduce(num, den)
+
+
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__pow__", "__neg__")  # fmt: skip
+
+
+def test_arithmetic_is_ratfunc_s_and_each_result_is_built_once(calls):
+    # Polynomial keeps only the stored form, and every sum, difference,
+    # product and quotient is reduced by exactly one constructor call
+    assert not set(ARITHMETIC) & set(vars(Polynomial))
+    assert set(ARITHMETIC) <= set(vars(RatFunc))
+    f, g = (L**2 + 1) / (L - 1), (L + 3) / (L**2 - 1)
+    calls.watch(RatFunc, "__init__", "init")
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        calls.clear()
+        op(f, g)
+        assert calls == {"init": 1}, op
