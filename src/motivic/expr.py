@@ -293,9 +293,6 @@ class _Parser:
         if kind == "[":
             self.next()
             node = self.expr(allow_div=False)
-            if self.peek()[0] == "]" and isinstance(node, Quotient):
-                self.next()
-                return node
             self.expect("/")
             grp = self.group()
             self.expect("]")

@@ -9,18 +9,17 @@ deterministic.
 
 SubgroupPoset builds its incidence and Mobius tables eagerly, in exact
 Python integers with down-sets as bitmasks; numpy arrays only store them.
-Both need the family closed under intersection, since the incidence is
-read off generators, members such that each member is top met with those
-containing it: _generator_masks takes the meet-irreducible members and
-finds their incidence by a walk of containment tests, and _mobius_columns
-runs the Mobius recursion up the incidence.  A subclass that knows its
-generators may supply the masks directly, as a poset_close result does
-with its seeds, and one that knows a closed form for its Mobius function
-may supply the columns.  Queries are read-only afterwards.
+The incidence is read off generators, subgroups such that each member is
+top met with those containing it: _generator_masks takes the rows of the
+members' lattices, each cutting out one such subgroup, and tests which
+lattices hold which row; _mobius_columns runs the Mobius recursion up the
+incidence.  A subclass that knows its generators may supply the masks
+directly, as a poset_close result does with its seeds, and one that
+knows a closed form for its Mobius function may supply the columns.
+Queries are read-only afterwards.
 
-One order serves every job: poset_close lists members bottom-up by
-_down_key, and the incidence walk goes down it.  None of them takes a
-Smith form; only iso_class does.
+poset_close lists members bottom-up by _down_key.  Building a poset
+takes no Smith form; only iso_class does.
 """
 
 from __future__ import annotations
@@ -137,13 +136,13 @@ def _row_in_lattice(row, rows, pivots):
 
 
 def _down_key(rows):
-    """(-rank, pivot product) of an HNF lattice, the one order of this module:
-    sorted by it, every subgroup comes after the subgroups inside it.  If a
-    lies strictly inside b, L(b) is a proper sublattice of L(a): of lower
-    rank, or of equal rank and so of the same Q-span and pivot columns,
-    where projecting onto those is injective and the pivot product, the
-    projected determinant, is [L(a):L(b)] times a's.  Either way a's key is
-    the smaller."""
+    """(-rank, pivot product) of an HNF lattice, the order poset_close lists
+    its members in: sorted by it, every subgroup comes after the subgroups
+    inside it.  If a lies strictly inside b, L(b) is a proper sublattice of
+    L(a): of lower rank, or of equal rank and so of the same Q-span and
+    pivot columns, where projecting onto those is injective and the pivot
+    product, the projected determinant, is [L(a):L(b)] times a's.  Either
+    way a's key is the smaller."""
     return (-len(rows), prod(next(v for v in r if v) for r in rows))
 
 
@@ -304,19 +303,19 @@ def _iso_class_cached(s):
 
 
 class SubgroupPoset:
-    """A finite family of torus subgroups ordered by containment.
+    """A finite family of torus subgroups ordered by containment, under a
+    top that holds every member.
 
-    The caller guarantees the family is closed under pairwise intersection
-    (poset_close produces such families; verify_intersection_closed checks
-    it in tests): the incidence is read off generators, so the tables of a
-    family that is not closed are wrong.  Which members lie in which
-    generators comes from _generator_masks, and the Mobius values from
-    _mobius_columns.  Built directly, the poset finds its meet-irreducible
-    members by containment tests; a subclass whose generators are known
-    overrides the first hook, as the closure of poset_close and
-    PartitionLattice do, and one whose Mobius function has a closed form
-    the second.  Both tables are built at construction, so all queries
-    afterwards are read-only and safe to share across threads.
+    Which members lie in which generators comes from _generator_masks, and
+    the Mobius values from _mobius_columns.  Built directly, the poset tests
+    which lattices hold which members' rows, so its tables are right for
+    any family; a subclass whose generators are known overrides the first
+    hook, as the closure of poset_close and PartitionLattice do, and one
+    whose Mobius function has a closed form the second.  crosscut_coeff
+    looks up meets, so it still needs the family closed under intersection
+    (verify_intersection_closed checks it).  Both tables are built at
+    construction, so all queries afterwards are read-only and safe to
+    share across threads.
     """
 
     def __init__(self, elements, top):
@@ -355,9 +354,9 @@ class SubgroupPoset:
     def _down_sets(self):
         """For each element b, the indices of the elements a inside b.
 
-        Each element is top met with the generators containing it, so the
-        down-set of b is the AND of the below-masks of the generators
-        containing b.
+        over[b] masks generators containing b whose meet with top is b;
+        top holds every element, so a <= b iff a lies in each of them: the
+        down-set of b is the AND of their below-masks.
         """
         over, below = self._generator_masks()
         full = (1 << len(self.elements)) - 1
@@ -365,36 +364,18 @@ class SubgroupPoset:
         return [_bit_indices(down) for down in downs]
 
     def _generator_masks(self):
-        """(over, below): over[e] masks the generators containing element e,
-        below[j] the elements inside generator j.
-
-        The walk goes top-down by _down_key, so the generators containing
-        b come before it, and b is a new generator iff some earlier
-        element, counted among its own generators, lies in exactly the same
-        ones.  A generator's rows are tested against L(b) only if its pivot
-        columns are among b's, as those of any sublattice are.  The walk
-        takes top to hold every element, so it tests that first.
-        """
+        """(over, below) with the distinct rows of the members' lattices as
+        generators, each cutting out one subgroup: over[e] masks the rows of
+        e's HNF basis and below[j] the members whose lattice holds row j.
+        So a lies in every generator over b iff L(b) lies in L(a), which is
+        the definition of a <= b."""
         if not all(self.top.contains(e) for e in self.elements):
             raise ValueError("top does not contain every element")
-        n = len(self.elements)
         lattices = [e.char_lattice for e in self.elements]
-        pivots = [_pivot_cols(lat) for lat in lattices]
-        cols = [sum(1 << c for c in piv) for piv in pivots]
-        gens, below, over, seen = [], [], [0] * n, set()
-        for e in sorted(range(n), key=lambda i: _down_key(lattices[i]), reverse=True):
-            lat, piv, col = lattices[e], pivots[e], cols[e]
-            mask = 0
-            for j, g in enumerate(gens):
-                if not cols[g] & ~col and all(_row_in_lattice(r, lat, piv) for r in lattices[g]):
-                    mask |= 1 << j
-                    below[j] |= 1 << e
-            if mask in seen:
-                mask |= 1 << len(gens)
-                gens.append(e)
-                below.append(1 << e)
-            seen.add(mask)
-            over[e] = mask
+        rows = {}
+        over = [sum(1 << rows.setdefault(r, len(rows)) for r in lat) for lat in lattices]
+        held = [(lat, _pivot_cols(lat)) for lat in lattices]
+        below = [sum(1 << e for e, h in enumerate(held) if _row_in_lattice(r, *h)) for r in rows]
         return over, below
 
     def _mobius_columns(self, downs):

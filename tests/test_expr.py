@@ -90,6 +90,8 @@ def syntax_error_position(text):
         ("Gm * * Gm", 5),
         ("[pt / Gm", 8),
         ("A^\u0663 +", 6),
+        ("[(pt/Gm)]", 8),
+        ("[[pt / Gm]]", 10),
     ],
 )
 def test_syntax_error_offsets(text, position):
@@ -97,9 +99,12 @@ def test_syntax_error_offsets(text, position):
 
 
 def test_syntax_error_expected_set():
-    with pytest.raises(ExprSyntaxError) as err:
-        parse("[pt Gm]")
-    assert "/" in err.value.expected
+    # the README grammar's bracket is "[" expr "/" group "]", so a quotient
+    # alone in brackets lacks its "/" as much as a point does
+    for text in ("[pt Gm]", "[(pt/Gm)]", "[[pt / Gm]]"):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert err.value.expected == ("/",)
 
 
 def test_guard_errors():

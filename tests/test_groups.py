@@ -143,7 +143,7 @@ def test_non_integer_rank_is_refused_at_once(build):
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_partition_lattice_matches_the_generic_walk(m):
-    # oracle: the same members through SubgroupPoset's containment walk
+    # oracle: the same members through SubgroupPoset's row table
     lat = PartitionLattice(m)
     generic = SubgroupPoset(lat.elements, lat.top)
     assert generic.elements == lat.elements

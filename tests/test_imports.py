@@ -214,3 +214,25 @@ def test_library_imports_only_stdlib_and_declared_dependencies():
         for line, name in foreign_imports(ast.parse(path.read_text(), str(path)), allowed):
             found.append("%s:%d: %s" % (path.relative_to(ROOT), line, name))
     assert not found, "imports outside the standard library and pyproject.toml:\n" + "\n".join(found)
+
+
+def imports_numpy(tree):
+    """Whether a module imports numpy or a submodule of it."""
+    return any(name.split(".")[0] == "numpy" for _, name in foreign_imports(tree, {"motivic"}))
+
+
+def test_numpy_scan_sees_plain_aliased_and_from_imports():
+    for src in ("import numpy as np\n", "import os, numpy.linalg\n", "from numpy import zeros\n"):
+        assert imports_numpy(ast.parse(src))
+    assert not imports_numpy(ast.parse("import os\nfrom .subgroups import np\nnumpy = 1\n"))
+
+
+def test_only_subgroups_imports_numpy():
+    # the README's dependency note: numpy only stores the poset tables, so
+    # dropping it is a change to one module
+    importers = [
+        path.name
+        for path in sorted((ROOT / "src" / "motivic").glob("*.py"))
+        if imports_numpy(ast.parse(path.read_text(), str(path)))
+    ]
+    assert importers == ["subgroups.py"]

@@ -661,3 +661,20 @@ def test_arithmetic_is_ratfunc_s_and_each_result_is_built_once(calls):
         calls.clear()
         op(f, g)
         assert calls == {"init": 1}, op
+
+
+def test_equal_values_built_differently_hash_and_render_alike():
+    # 1/(l - 1) four ways, none of them a polynomial
+    ways = [
+        ONE / (L - 1),
+        (L + 1) / (L * L - 1),
+        RatFunc((1, 1), (-1, 0, 1)),
+        RatFunc((2,), (-2, 2)),
+    ]
+    assert all(v == ways[0] and hash(v) == hash(ways[0]) for v in ways)
+    assert len(dict.fromkeys(ways)) == 1
+    assert {str(v) for v in ways} == {"1/(l - 1)"}
+    assert str(RatFunc((1, 2), (3, 0, 1))) == "(2*l + 1)/(l^2 + 3)"
+    assert str((2 * L + 1) / (L * L + 3)) == canonical_str(RatFunc((1, 2), (3, 0, 1)))
+    # a polynomial over 1 and a ratio with a non-constant denominator differ
+    assert len({L - 1, ONE / (L - 1)}) == 2

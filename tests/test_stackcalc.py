@@ -606,6 +606,30 @@ def test_bar_elem_json():
     assert data[1]["coeff"] == "(-l - 2)/(2*l^2 + 2*l)"
 
 
+def test_omega_coefficients_are_numbers():
+    # a constant RatFunc coerces to its number; l has none
+    half = OmegaBarElem.term(GM, Fraction(1, 2))
+    assert OmegaBarElem.term(GM, RatFunc(Fraction(1, 2))) == half
+    assert OmegaBarElem.term(GM, ONE / 2).coeff(GM) == Fraction(1, 2)
+    with pytest.raises(ValueError, match="not a constant"):
+        OmegaBarElem.term(GM, ELL)
+
+
+def test_bar_elements_are_values():
+    for make, c in ((LambdaBarElem, E2), (OmegaBarElem, Fraction(2, 3))):
+        # the same element in another term order, with a cancelled term
+        x = make.term(GM2, c) + make.term(GM, 1)
+        y = make([(GM, Fraction(1, 2)), (GM3, 5), (GM2, c), (GM, Fraction(1, 2)), (GM3, -5)])
+        assert x == y and hash(x) == hash(y)
+        assert len({x: 1, y: 2}) == 1
+        z = make.term(GM3, c) - make.term(GM, 3)
+        for a, b in ((x, z), (z, x), (x, y), (z, make.zero())):
+            assert a - b == a + (-b)
+        assert (x - y).is_zero() and (-make.zero()).is_zero()
+        assert not x.is_zero() and not (-z).is_zero() and -(-z) == z
+        assert (z - x).coeff(GM) == -4 and (z - x).coeff(GM2) == -c
+
+
 def test_values_are_exact_and_constants_hash_like_numbers():
     # floats and strings are refused wherever a Q(l) value is built
     refused = [

@@ -602,6 +602,29 @@ def test_incidence_and_mobius_match_definitions_on_torsion_families():
     assert with_torsion >= 60
 
 
+def test_tables_of_families_that_are_not_closed():
+    # a direct poset reads containment off the lattices' rows, not meets;
+    # mu2 and mu3 in the third coordinate meet in the trivial group, which
+    # is missing here
+    x1, x2 = TorusSubgroup(3, ((1, 0, 0),)), TorusSubgroup(3, ((0, 1, 0),))
+    mu2, mu3 = (TorusSubgroup(3, ((1, 0, 0), (0, 1, 0), (0, 0, d))) for d in (2, 3))
+    top = TorusSubgroup.full_torus(3)
+    p = SubgroupPoset([top, x1, x2, mu2, mu3], top)
+    assert not p.verify_intersection_closed()
+    assert not p.leq(mu2, mu3) and not p.leq(mu3, mu2) and p.leq(mu2, x1)
+    assert_tables_match_definitions(p)
+    # seeded closures with each member but top dropped at random
+    rng = random.Random(97)
+    not_closed = 0
+    for elements in torsion_families(97, 200):
+        top = TorusSubgroup.full_torus(elements[0].ambient_rank)
+        kept = [e for e in elements if e == top or rng.random() >= 0.4]
+        p = SubgroupPoset(kept, top)
+        assert_tables_match_definitions(p)
+        not_closed += not p.verify_intersection_closed()
+    assert not_closed >= 40
+
+
 def _down_key_of(e):
     return _down_key(e.char_lattice)
 
@@ -684,7 +707,7 @@ def closure_families(seed, count):
 
 
 def test_poset_close_tables_match_the_generic_walk():
-    # oracle: the same members through SubgroupPoset's containment walk
+    # oracle: the same members through SubgroupPoset's row table
     below_full = redundant = 0
     for seeds, top, meet in closure_families(71, 300):
         p = poset_close(seeds, top)
@@ -709,7 +732,7 @@ def test_poset_close_makes_no_containment_test(calls):
     for seeds in lattice_seeds(79, 3):
         poset_close(seeds, TorusSubgroup.full_torus(6))
     assert calls["row test"] == 0
-    # the counter sees the generic walk
+    # the counter sees the generic row table
     p = poset_close(seeds, TorusSubgroup.full_torus(6))
     SubgroupPoset(p.elements, p.top)
     assert calls["row test"] > 0
