@@ -27,7 +27,7 @@ from .groups import (
     torus,
     upsilon_group,
 )
-from .guards import CONSISTENCY_GUARD, E_GUARD
+from .guards import E_GUARD
 from .models import (
     gl2_flag_model,
     gl3_flag_model,
@@ -294,7 +294,7 @@ def check_m_vanishing(n_instances=200):
 # refused rather than clamped, so a report always covers the bound asked for
 SUITES = {
     "eff-recursion": (E_GUARD - 1, check_eff_recursion),  # its table runs to max_m + 1
-    "consistency": (CONSISTENCY_GUARD, check_consistency),
+    "consistency": (E_GUARD, check_consistency),
     "mobius-crosscut": (4, lambda max_m: check_mobius_crosscut(max_m=max_m, n_random=25 * max_m)),
     "operator-algebra": (4, lambda max_m: check_operator_algebra(n_random=125 * max_m)),
     "model-pi1": (3, check_model_pi1),

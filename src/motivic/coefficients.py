@@ -22,7 +22,7 @@ from math import factorial, prod
 
 from .errors import InternalInvariant, NotComparable, TooLarge
 from .groups import GeneralLinear, SetPartition, torus, upsilon_group, weyl_index_gl
-from .guards import CONSISTENCY_GUARD, E_GUARD, RECURSION_GUARD
+from .guards import E_GUARD, RECURSION_GUARD
 from .ratfield import ELL, ONE, ZERO, RatFunc, in_lambda_circ, pi_eval
 
 __all__ = [
@@ -96,6 +96,8 @@ def e_coeff_gl(q):
 
 def scalar_e(m):
     """E(m): the coefficient of the scalar torus in GL(m)."""
+    if m > E_GUARD:
+        raise TooLarge("E coefficients guarded at m <= %d" % E_GUARD)
     return e_coeff_gl(SetPartition.one_block(m))
 
 
@@ -130,8 +132,6 @@ class ECoeffTable:
     def build(cls, max_m):
         if max_m < 1:
             raise ValueError("max_m must be positive")
-        if max_m > E_GUARD:
-            raise TooLarge("E table guarded at m <= %d" % E_GUARD)
         es = tuple(scalar_e(m) for m in range(1, max_m + 1))
         return cls(max_m, es, tuple(pi_eval(e) for e in es))
 
@@ -185,8 +185,6 @@ def consistency_residual(m):
     E(GL(m), Q)/Upsilon(Q), summed by block-size type; identically zero."""
     if m < 1:
         raise ValueError("m must be positive")
-    if m > CONSISTENCY_GUARD:
-        raise TooLarge("consistency residual guarded at m <= %d" % CONSISTENCY_GUARD)
     total = ZERO
     for rank, coeff in bgl_type_terms(m):
         total = total + coeff / upsilon_group(torus(rank))

@@ -19,9 +19,11 @@ PARTITION_GUARD = 9
 # 2-vCPU host).
 Q_LATTICE_GUARD = 7
 
-# coefficients.e_coeff_gl and ECoeffTable.build: E(GL(m), Q) for m up to
-# this; a cold build(7) takes 0.02 s.  eff-table --max 8 is a documented
-# refusal, pinned by tests and bench goldens.
+# coefficients.scalar_e, before any work, and e_coeff_gl: E(GL(m), Q) for
+# m up to this, the one size policy of eff-table, abelianize/euler and the
+# consistency suite.  Cold: ECoeffTable.build(7) 0.010-0.015 s,
+# abelianize_bgl(7) with gen_euler 0.017-0.023 s, consistency_residual(7)
+# 0.019-0.032 s.  eff-table --max 8 is a refusal pinned by bench goldens.
 E_GUARD = 7
 
 # coefficients.e_recursion_residual and f_recursion_residual: the residual
@@ -30,19 +32,14 @@ E_GUARD = 7
 # the true E(1..9).
 RECURSION_GUARD = 8
 
-# coefficients.consistency_residual: m up to this, 0.02 s at m = 6.
-CONSISTENCY_GUARD = 6
-
-# stackcalc.abelianize_bgl, behind `abelianize M` and `euler M`: 0.01 s at 6,
-# with gen_euler.
-ABELIANIZE_GUARD = 6
-
 # stackcalc.abelianize_model, behind every projection, on a GL(m) model: one
 # term per set partition of {1..m} and stratum; the GL(5) point model 0.03 s.
 MODEL_GL_GUARD = 5
 
-# stackcalc.abelianize_model on a torus model: linear in the strata, so this
-# bounds no measured cost (0.02 s for the 64 strata of G_m^6 on A^6).
+# stackcalc.abelianize_model on a torus model: linear in the strata (0.02 s
+# for the 64 of G_m^6 on A^6), but even a point model computes Upsilon(T) =
+# (l - 1)^m, whose cost grows without bound in m: with the guard lifted,
+# 0.004 s at m = 256, 0.09 s at 1024 and 3.5 s at 4096.
 MODEL_TORUS_GUARD = 6
 
 # subgroups.SubgroupPoset.crosscut_coeff: down-set size for the literal

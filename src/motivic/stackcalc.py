@@ -30,7 +30,7 @@ from .groups import (
     torus,
     upsilon_group,
 )
-from .guards import ABELIANIZE_GUARD, MODEL_GL_GUARD, MODEL_TORUS_GUARD
+from .guards import MODEL_GL_GUARD, MODEL_TORUS_GUARD
 from .ratfield import (
     ONE,
     ZERO,
@@ -271,8 +271,6 @@ def abelianize_bgl(m):
     collected by block-size type (bgl_type_terms)."""
     if m < 1:
         raise ValueError("m must be positive")
-    if m > ABELIANIZE_GUARD:
-        raise TooLarge("abelianization guarded at m <= %d" % ABELIANIZE_GUARD)
     return LambdaBarElem(
         (AbelianGroupClass(rank), coeff) for rank, coeff in bgl_type_terms(m)
     )

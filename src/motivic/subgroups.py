@@ -449,7 +449,13 @@ class SubgroupPoset:
         meet = {(i, i): i for i in down}
         for k, i in enumerate(down):
             for j in down[k + 1 :]:
-                meet[(i, j)] = meet[(j, i)] = self.index_of(els[i].intersect(els[j]))
+                try:
+                    meet[(i, j)] = meet[(j, i)] = self._index[els[i].intersect(els[j])]
+                except KeyError:
+                    raise NotInPoset(
+                        "family not closed under intersection: the meet of %s and %s is missing"
+                        % (els[i], els[j])
+                    ) from None
         others = [i for i in down if i != iup]
         total = 0
 

@@ -5,7 +5,11 @@ from fractions import Fraction
 from math import prod
 from pathlib import Path
 
+import pytest
+
+from motivic.checks import SUITES
 from motivic.cli import main
+from motivic.guards import E_GUARD
 
 GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens.json"
 
@@ -145,6 +149,39 @@ def test_euler_goldens(capsys):
     assert out.strip() == "1/6*[Gm^3] - 3/4*[Gm^2] + 10/9*[Gm]"
 
 
+def test_abelianize_and_euler_at_the_e_guard(capsys):
+    # E_GUARD alone bounds abelianize and euler; their outputs at m = 7 are
+    # frozen (abelianize by length and SHA-256) and cross-checked against
+    # eff-table: the [Gm] coefficient is E(7), and at l = 1 it is F(7)
+    code, out, _ = run_cli(capsys, "eff-table", "--max", "7", "--json")
+    assert code == 0
+    row7 = json.loads(out)["rows"][6]
+    assert (row7["m"], row7["F"]) == (7, "1716/49")
+    code, out, _ = run_cli(capsys, "abelianize", "7")
+    assert code == 0
+    assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (
+        1391,
+        "2267f666a9016e59dfb6d3c0ab6132b700551ba8f23d2164725eacc08eff3e1d",
+    )
+    assert out.startswith("1/5040*[Gm^7] + ")
+    assert out.endswith(" + %s*[Gm]\n" % row7["E"])
+    code, out, _ = run_cli(capsys, "euler", "7")
+    assert code == 0
+    assert out == (
+        "1/5040*[Gm^7] - 1/160*[Gm^6] + 161/1728*[Gm^5] - 109/128*[Gm^4]"
+        " + 659717/129600*[Gm^3] - 34279/1800*[Gm^2] + 1716/49*[Gm]\n"
+    )
+    assert run_cli(capsys, "check", "consistency", "--max", "7") == (
+        0,
+        "consistency: 7 instances, 0 failures\n",
+        "",
+    )
+    for command in ("abelianize", "euler"):
+        code, out, err = run_cli(capsys, command, "8")
+        assert (code, out) == (2, "")
+        assert err == "error (TooLarge): E coefficients guarded at m <= 7\n"
+
+
 def test_check_suites_exit_zero(capsys):
     for suite, size in (
         ("consistency", 3),
@@ -184,7 +221,7 @@ def test_check_default_bound_fits_the_suite(capsys):
 def test_check_refuses_bounds_above_suite_limit(capsys):
     limits = {
         "eff-recursion": 6,
-        "consistency": 6,
+        "consistency": 7,
         "mobius-crosscut": 4,
         "operator-algebra": 4,
         "model-pi1": 3,
@@ -337,6 +374,55 @@ def test_eval_overlong_literal_is_a_guard_error(capsys):
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ExprSyntaxError"
     assert err == ""
+
+
+def sized_commands():
+    """(argv before M, the largest M accepted, whether --json exists) for
+    every command that takes a size M."""
+    yield ("eff-table", "--max"), E_GUARD, True
+    yield ("abelianize",), E_GUARD, False
+    yield ("euler",), E_GUARD, False
+    for suite, (limit, _) in sorted(SUITES.items()):
+        yield ("check", suite, "--max"), limit, True
+
+
+SIZED_ARGV = [
+    (prefix, limit, flag)
+    for prefix, limit, has_json in sized_commands()
+    for flag in ((), ("--json",))
+    if has_json or not flag
+]
+
+
+@pytest.mark.parametrize(
+    "prefix,limit,flag", SIZED_ARGV, ids=[" ".join(p + f) for p, _, f in SIZED_ARGV]
+)
+def test_sized_commands_keep_the_exit_code_contract(capsys, prefix, limit, flag):
+    # M from every class the README "Exit codes" table separates: negative,
+    # 0, in range, the limit, the limit + 1 and 20-digit values of both
+    # signs.  An accepted M runs within 3 s (the slowest, operator-algebra
+    # at 4, takes about 0.5 s) and a refused one within 0.5 s
+    big = 10**20 - 1
+    for m in sorted({-1, 0, 1, (1 + limit) // 2, limit, limit + 1, big, -big}):
+        argv = list(prefix) + [str(m)] + list(flag)
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        elapsed = time.perf_counter() - t0
+        assert "Traceback" not in out + err, argv
+        if 1 <= m <= limit:
+            assert (code, err) == (0, ""), argv
+            assert elapsed < 3.0, argv
+            if flag:
+                json.loads(out)
+            continue
+        assert code == 2, argv
+        assert elapsed < 0.5, argv
+        if flag:
+            assert err == "", argv
+            assert json.loads(out)["error"]["type"] in ("GuardError", "TooLarge"), argv
+        else:
+            assert out == "", argv
+            assert err.startswith(("error (GuardError): ", "error (TooLarge): ")), argv
 
 
 def test_check_unknown_suite_usage_error(capsys):

@@ -14,10 +14,12 @@ from motivic.errors import TooLarge
 from motivic.groups import (
     GeneralLinear,
     PartitionLattice,
+    Product,
     SetPartition,
     bell_number,
     centralizer_gl,
     enumerate_partitions,
+    group_from_json,
     group_rank,
     partition_to_subgroup,
     product,
@@ -315,11 +317,31 @@ def test_centralizer_upsilon_divisibility():
 
 
 def test_group_json_round_trip():
-    from motivic.groups import group_from_json
-
     for g in (
         torus(2, (2,)),
         GeneralLinear(3),
         product(GeneralLinear(2), torus(1)),
     ):
         assert group_from_json(g.to_json()) == g
+
+
+GROUP_LEAVES = st.integers(1, 5).map(GeneralLinear) | st.builds(
+    torus, st.integers(0, 3), st.lists(st.integers(2, 60), max_size=3)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.recursive(
+        GROUP_LEAVES,
+        lambda inner: st.lists(inner, min_size=1, max_size=3).map(lambda fs: Product(tuple(fs))),
+        max_leaves=8,
+    )
+)
+def test_group_json_round_trip_of_nested_products(g):
+    # nested products flatten at construction, and the JSON text of any
+    # product of GL(m)s and tori with torsion reads back as the same group
+    back = group_from_json(json.loads(json.dumps(g.to_json())))
+    assert back == g
+    assert str(back) == str(g)
+    assert upsilon_group(back) == upsilon_group(g)

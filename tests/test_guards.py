@@ -21,6 +21,7 @@ from motivic.coefficients import (
     e_coeff_gl,
     e_recursion_residual,
     f_recursion_residual,
+    scalar_e,
 )
 from motivic.errors import GuardError, TooLarge
 from motivic.expr import _bounds, eval_class, parse
@@ -35,8 +36,6 @@ from motivic.groups import (
     upsilon_group,
 )
 from motivic.guards import (
-    ABELIANIZE_GUARD,
-    CONSISTENCY_GUARD,
     CROSSCUT_GUARD,
     DEGREE_MAX,
     DIM_MAX,
@@ -146,10 +145,18 @@ def _():
 
 @edge("E_GUARD")
 def _():
+    # the one guard of every E-based computation, checked in scalar_e before
+    # the one-block partition is built; e_coeff_gl keeps its own check
     table = accepted(1.0, ECoeffTable.build, E_GUARD)
     assert table.max_m == E_GUARD
+    assert accepted(1.0, consistency_residual, E_GUARD) == ZERO
+    x = accepted(1.0, abelianize_bgl, E_GUARD)
+    assert accepted(1.0, gen_euler, x)
     refused(TooLarge, ECoeffTable.build, E_GUARD + 1)
+    refused(TooLarge, consistency_residual, E_GUARD + 1)
+    refused(TooLarge, abelianize_bgl, E_GUARD + 1)
     refused(TooLarge, e_coeff_gl, SetPartition.one_block(E_GUARD + 1))
+    refused(TooLarge, scalar_e, 4_000_000)
 
 
 @edge("RECURSION_GUARD")
@@ -161,19 +168,6 @@ def _():
     wider = ECoeffTable(len(es) + 1, table.scalar_e + (ZERO,), table.scalar_f + (0,))
     refused(TooLarge, e_recursion_residual, RECURSION_GUARD + 1, wider)
     refused(TooLarge, f_recursion_residual, RECURSION_GUARD + 1, wider)
-
-
-@edge("CONSISTENCY_GUARD")
-def _():
-    assert accepted(1.0, consistency_residual, CONSISTENCY_GUARD) == ZERO
-    refused(TooLarge, consistency_residual, CONSISTENCY_GUARD + 1)
-
-
-@edge("ABELIANIZE_GUARD")
-def _():
-    x = accepted(1.0, abelianize_bgl, ABELIANIZE_GUARD)
-    assert accepted(1.0, gen_euler, x)
-    refused(TooLarge, abelianize_bgl, ABELIANIZE_GUARD + 1)
 
 
 @edge("MODEL_GL_GUARD")

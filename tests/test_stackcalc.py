@@ -93,7 +93,7 @@ def test_abelianize_examples():
     )
     assert got3 == expected3
     with pytest.raises(TooLarge):
-        abelianize_bgl(7)
+        abelianize_bgl(8)
 
 
 def test_gen_euler_examples():

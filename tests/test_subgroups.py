@@ -464,6 +464,22 @@ def test_crosscut_equals_mobius_random_posets():
         done += 1
 
 
+def test_crosscut_names_the_missing_meet():
+    # mobius reads containment off the rows and answers, but the subset sum
+    # needs every meet; the first one missing is x1 meet x2
+    x1, x2 = TorusSubgroup(3, ((1, 0, 0),)), TorusSubgroup(3, ((0, 1, 0),))
+    mu2, mu3 = (TorusSubgroup(3, ((1, 0, 0), (0, 1, 0), (0, 0, d))) for d in (2, 3))
+    top = TorusSubgroup.full_torus(3)
+    p = SubgroupPoset([top, x1, x2, mu2, mu3], top)
+    assert p.mobius(mu2, top) == 1
+    with pytest.raises(NotInPoset) as caught:
+        p.crosscut_coeff(mu2, top)
+    message = str(caught.value)
+    assert "not closed under intersection" in message
+    assert str(x1) in message and str(x2) in message
+    assert str(x1.intersect(x2)) not in message
+
+
 def test_crosscut_guard():
     lat = partition_poset(5)  # 52 elements below the top
     with pytest.raises(TooLarge):
