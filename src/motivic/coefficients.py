@@ -132,7 +132,10 @@ class ECoeffTable:
     def build(cls, max_m):
         if max_m < 1:
             raise ValueError("max_m must be positive")
-        es = tuple(scalar_e(m) for m in range(1, max_m + 1))
+        # from the top down: scalar_e(max_m) refuses a size past E_GUARD
+        # before any work, and on an accepted size its recurrence caches
+        # every smaller row
+        es = tuple(reversed([scalar_e(m) for m in range(max_m, 0, -1)]))
         return cls(max_m, es, tuple(pi_eval(e) for e in es))
 
     def e(self, m):

@@ -59,8 +59,9 @@ NEST_MAX = 100
 # expr.eval_class: the degree predicted from the expression before any
 # arithmetic.  The slowest accepted inputs known are sums with a factor of
 # high multiplicity near the bound: [P^64/Gm^64]^11 + [P^63/Gm^63] (degree
-# 767) takes 0.6 s and [pt/Gm^64]^10 + [pt/GL(11)] (761) 0.3 s, nearly
-# all of it in big-integer gcds; the (GL(16))^3 edge 0.01 s.
+# 767) takes 0.09 s and [pt/Gm^64]^10 + [pt/GL(11)] (761) 0.05 s, nearly
+# all of it in big-integer products and cofactor divisions; the
+# (GL(16))^3 edge 0.005 s (medians of 7 cold runs).
 DEGREE_MAX = 768
 
 # expr.eval_class: the height predicted from the expression before any
@@ -68,8 +69,8 @@ DEGREE_MAX = 768
 # and denominator.  A reduced coefficient has at most DEGREE_MAX more bits
 # (Landau-Mignotte), so every accepted output integer stays far below the
 # 4300 digits str() converts.  ((pt+pt)^64)^32 = 2^2048 takes a millisecond;
-# the slowest accepted inputs known are sums of quotients with a wide
-# constant near both bounds, such as [P^25 / GL(11)]^5 + [((pt+pt)^64)^29 *
+# the slowest accepted inputs known near both bounds are sums of quotients
+# with a wide constant, such as [P^25 / GL(11)]^5 + [((pt+pt)^64)^29 *
 # (pt+pt)^3 * Gm^8 / Gm^56] + [P^5 / Gm^17]^3 (height 1975, degree 712) at
-# 1.5 s, nearly all of it in big-integer gcds and divisions.
+# 0.03 s (median of 7 cold runs).
 HEIGHT_MAX = 2048

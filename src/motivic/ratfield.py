@@ -8,8 +8,9 @@ is plain component comparison and results are reproducible across runs.
 No floating point is used anywhere.  A value is a RatFunc: two
 Polynomials, each stored as a rational content times a primitive integer
 coefficient tuple.  Polynomial has no arithmetic; RatFunc's operators work on
-the stored parts and hand every sum, difference, product and quotient to the
-RatFunc constructor, so the reduction is written once.  A product of integer
+the stored parts.  Products and quotients are reduced by the RatFunc
+constructor, and sums and differences by Henrici's rule, which reduces the
+numerator against the gcd of the two denominators only.  A product of integer
 tuples is one big-integer product (Kronecker substitution), and the gcd that
 reduces is the heuristic gcd GCDHEU of Char, Geddes and Gonnet (1989), whose
 evaluation point grows until its answer checks.  Both write coefficients
@@ -57,9 +58,8 @@ class Polynomial:
     positive last (leading) entry, and `content` is a nonzero Fraction.
     The zero polynomial is content 0 with ints (), and ``degree`` returns
     the sentinel -1 for it.  It has no ring operators: Q(l) arithmetic is
-    RatFunc's, on these stored parts, so that every result is reduced by
-    one constructor.  The Fraction coefficients are derived on demand, for
-    output only.
+    RatFunc's, on these stored parts.  The Fraction coefficients are
+    derived on demand, for output only.
     """
 
     __slots__ = ("content", "ints")
@@ -201,10 +201,15 @@ def _unpack(v, k, length):
 
 
 def _mul_ints(a, b):
-    """Product of two nonzero integer coefficient lists by Kronecker
-    substitution: pack both at 2^k, multiply once, unpack.  Every product
-    coefficient is at most max|a| * max|b| * min(len) in size, and k leaves
-    room for that and its sign."""
+    """Product of two nonzero integer coefficient lists, as a list: the
+    other side when one is the constant 1, else by Kronecker substitution:
+    pack both at 2^k, multiply once, unpack.  Every product coefficient is
+    at most max|a| * max|b| * min(len) in size, and k leaves room for that
+    and its sign."""
+    if len(a) == 1 and a[0] == 1:
+        return list(b)
+    if len(b) == 1 and b[0] == 1:
+        return list(a)
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     k = (bound.bit_length() + 8) & ~7
     return _unpack(_pack(a, k) * _pack(b, k), k, len(a) + len(b) - 1)
@@ -307,11 +312,13 @@ class RatFunc:
 
     Canonical form: denominator monic and nonzero, gcd(num, den) = 1, and
     the zero function stored as 0/1.  Equality and hashing rely on this.
-    The operators work on the stored parts (content, ints) of num and den,
-    and each sum, difference, product and quotient is built by the
-    constructor, so one reduction, the gcd of the numerator against the
-    whole denominator, keeps every result canonical.  Negation and powers
-    keep a reduced value reduced and skip it.
+    The operators work on the stored parts (content, ints) of num and den.
+    Each product and quotient is built by the constructor, whose gcd of the
+    numerator against the whole denominator keeps it canonical.  Sums and
+    differences follow Henrici's rule, which reduces the numerator against
+    the gcd of the two denominators only; it rests on both operands being
+    reduced, which the constructor, negation and powers guarantee.
+    Negation and powers keep a reduced value reduced and skip the gcd.
     """
 
     __slots__ = ("num", "den")
@@ -449,21 +456,39 @@ def _times(p, q):
 
 
 def _sum(f, g, sign):
-    """f + sign * g, as the constructor's reduction of the cross products
-    a = f.num * g.den and c = g.num * f.den over f.den * g.den."""
-    a, c = _times(f.num, g.den), _times(g.num, f.den)
-    den = _times(f.den, g.den)
-    if not a.ints:
-        return RatFunc(_poly(sign * c.content, c.ints), den)
-    # a + sign * c = (a.content / r.den) * (r.den * a.ints + r.num * c.ints)
-    r = sign * c.content / a.content
-    x = [r.denominator * v for v in a.ints]
-    y = [r.numerator * v for v in c.ints]
+    """f + sign * g by Henrici's rule (Knuth, TAOCP vol. 2, 4.5.1), built
+    directly.  For reduced f = a/b and g = c/d with h = gcd(b, d), the
+    numerator t = a * (d/h) + sign * c * (b/h) is prime to (b/h) * (d/h),
+    so the only reduction left is t against h, not against b * d.  The
+    rule rests on both operands being reduced, which the constructor,
+    negation and powers guarantee."""
+    if not f.num.ints:
+        return g if sign > 0 else -g
+    if not g.num.ints:
+        return f
+    b, d = f.den.ints, g.den.ints
+    h, bh, dh = _gcd_parts(b, d) if len(b) > 1 and len(d) > 1 else ((1,), b, d)
+    # f = fa * A/b and sign * g = ga * C/d for the stored ints A and C, so
+    # t = fa * x + ga * y = (fa / r.den) * (r.den * x + r.num * y), with
+    # x = A * (d/h), y = C * (b/h) and r = ga / fa
+    fa, ga = f.num.content * b[-1], sign * g.num.content * d[-1]
+    r = ga / fa
+    x = [r.denominator * v for v in _mul_ints(f.num.ints, dh)]
+    y = [r.numerator * v for v in _mul_ints(g.num.ints, bh)]
     if len(x) < len(y):
         x, y = y, x
     for i, v in enumerate(y):
         x[i] += v
-    return RatFunc(_poly(*_primitive(a.content / r.denominator, x)), den)
+    content, t = _primitive(fa / r.denominator, x)
+    if not t:
+        return ZERO
+    if len(h) > 1:
+        _, t, h = _gcd_parts(t, h)
+    den = _mul_ints(_mul_ints(h, bh), dh)
+    out = RatFunc.__new__(RatFunc)
+    out.num = _poly(content / den[-1], t)
+    out.den = _poly(Fraction(1, den[-1]), den)
+    return out
 
 
 def _raised(p, k):

@@ -313,11 +313,38 @@ LOPSIDED = {
 }
 
 
+# the slowest accepted inputs known, near HEIGHT_MAX and DEGREE_MAX: sums
+# whose two denominators share most of their factors.  Each stdout is
+# pinned by length and SHA-256 as the constructor's reduction of the
+# unreduced sum printed it; their budgets are in tests/test_guards.py
+SLOWEST = {
+    "[P^25 / GL(11)]^5 + [((pt+pt)^64)^29 * (pt+pt)^3 * Gm^8 / Gm^56] + [P^5 / Gm^17]^3": (
+        170198,
+        "223069d99ef6a37ce726fd6c9964696c23ca00c6502592061060d891b358ee8d",
+    ),
+    "[P^64/Gm^64]^11 + [P^63/Gm^63]": (
+        219911,
+        "8cbc4042317109719b987db6acceac2181c33766108f244ca15a5a6bfad43fea",
+    ),
+    "[pt/Gm^64]^10 + [pt/GL(11)]": (
+        194865,
+        "c3c956fe2e9e72f7bf304e54fe657368520ee819987ef4fdcfd42baa32e31946",
+    ),
+}
+
+
 def test_eval_lopsided_quotients_finish(capsys):
     for text, (size, digest) in LOPSIDED.items():
         t0 = time.perf_counter()
         code, out, err = run_cli(capsys, "eval", text)
         assert time.perf_counter() - t0 < 2.0, text
+        assert (code, err, len(out)) == (0, "", size), text
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, text
+
+
+def test_eval_slowest_inputs_print_their_frozen_output(capsys):
+    for text, (size, digest) in SLOWEST.items():
+        code, out, err = run_cli(capsys, "eval", text)
         assert (code, err, len(out)) == (0, "", size), text
         assert hashlib.sha256(out.encode()).hexdigest() == digest, text
 

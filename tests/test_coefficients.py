@@ -26,6 +26,7 @@ from motivic.groups import (
     q_lattice_gl,
     upsilon_group,
 )
+from motivic.guards import E_GUARD
 from motivic.ratfield import ELL, ONE, RatFunc, ZERO, in_lambda_circ, pi_eval
 from motivic.models import gl3_flag_model
 from motivic.stackcalc import WeightFn, abelianize_bgl, upsilon_pi_mu
@@ -61,6 +62,19 @@ def test_e_singletons_m2():
 def test_e_guard():
     with pytest.raises(TooLarge):
         e_coeff_gl(SetPartition.one_block(8))
+
+
+def test_e_table_past_the_guard_refuses_before_any_row():
+    # the table is built from its largest row down, so a size past the
+    # guard computes no E at all before it is refused
+    e_coeff_gl.cache_clear()
+    with pytest.raises(TooLarge):
+        ECoeffTable.build(E_GUARD + 1)
+    assert e_coeff_gl.cache_info().currsize == 0
+    table = ECoeffTable.build(E_GUARD)
+    assert table.scalar_e == tuple(
+        e_coeff_gl(SetPartition.one_block(m)) for m in range(1, E_GUARD + 1)
+    )
 
 
 def _mobius_e(q):

@@ -230,6 +230,8 @@ def _():
     assert accepted(1.0, eval_text, "(A^64)^12") == ELL**DEGREE_MAX
     accepted(2.0, eval_text, "(GL(16))^3")
     accepted(2.5, eval_text, "[pt/GL(16)] * [pt/GL(15)] + [pt/GL(14)]")
+    accepted(1.0, eval_text, "[P^64/Gm^64]^11 + [P^63/Gm^63]")
+    accepted(1.0, eval_text, "[pt/Gm^64]^10 + [pt/GL(11)]")
     refused(GuardError, eval_text, "(A^64)^12 * Gm")
 
 
@@ -246,7 +248,7 @@ def _():
     accepted(1.0, eval_text, lopsided)
     slowest = "[P^25 / GL(11)]^5 + [((pt+pt)^64)^29 * (pt+pt)^3 * Gm^8 / Gm^56] + [P^5 / Gm^17]^3"
     assert max(_bounds(parse(slowest), height=True)) == 1975
-    accepted(4.5, eval_text, slowest)
+    accepted(1.0, eval_text, slowest)
     refused(GuardError, eval_text, "((pt+pt)^64)^32 * (pt+pt)")
     refused(GuardError, eval_text, "(((pt+pt)^64)^64)^4")
     for levels in (5, 6):

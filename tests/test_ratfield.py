@@ -14,6 +14,7 @@ from e_series import scalar_e_through
 from motivic import ratfield
 from motivic.coefficients import integer_partitions, type_weight
 from motivic.errors import DivisionByZero, PoleAtOne
+from motivic.groups import GeneralLinear, upsilon_group
 from motivic.ratfield import (
     ELL,
     ONE,
@@ -651,16 +652,108 @@ ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__
 
 
 def test_arithmetic_is_ratfunc_s_and_each_result_is_built_once(calls):
-    # Polynomial keeps only the stored form, and every sum, difference,
-    # product and quotient is reduced by exactly one constructor call
+    # Polynomial keeps only the stored form.  A product or quotient is
+    # reduced by exactly one constructor call; a sum or difference is built
+    # directly by Henrici's rule from two gcds, of the denominators and then
+    # of the numerator against theirs
     assert not set(ARITHMETIC) & set(vars(Polynomial))
     assert set(ARITHMETIC) <= set(vars(RatFunc))
     f, g = (L**2 + 1) / (L - 1), (L + 3) / (L**2 - 1)
     calls.watch(RatFunc, "__init__", "init")
-    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+    calls.watch(ratfield, "_gcd_parts", "gcd")
+    for op in (operator.mul, operator.truediv):
         calls.clear()
         op(f, g)
-        assert calls == {"init": 1}, op
+        assert calls["init"] == 1, op
+    for op in (operator.add, operator.sub):
+        calls.clear()
+        op(f, g)
+        assert calls == {"gcd": 2}, op
+
+
+# ---------------------------------------------------------------------------
+# Henrici's rule for sums: each case also reaches the reduction of the
+# numerator against the gcd of the denominators
+
+
+def assert_canonical(f):
+    """The stored form of a reduced value: primitive parts, a monic
+    denominator and no common factor, with zero as 0/1."""
+    assert_stored_form(f.num)
+    assert_stored_form(f.den)
+    assert f.den.coeffs[-1] == 1
+    if f.num.ints:
+        assert len(f.den.ints) == 1 or _gcd_parts(f.num.ints, f.den.ints)[0] == [1]
+    else:
+        assert (f.den.content, f.den.ints) == (1, (1,))
+
+
+def old_sum(f, g, sign):
+    """f + sign * g as the constructor's reduction of a*d + sign*c*b over
+    b*d, the cross products taken on Fraction lists."""
+    a, b, c, d = (list(p.coeffs) for p in (f.num, f.den, g.num, g.den))
+    num = added(schoolbook(a, d), [sign * x for x in schoolbook(c, b)])
+    return RatFunc(Polynomial(num), Polynomial(schoolbook(b, d)))
+
+
+def test_sum_cancelling_exactly_is_stored_as_zero():
+    f, g = (L**2 + 1) / (L - 1), (L + 3) / (L**2 - 1)
+    for z in (f - f, f + (-f), (f + g) - (g + f)):
+        assert (z.num.content, z.num.ints, z.den.content, z.den.ints) == (0, (), 1, (1,))
+        assert z == ZERO and hash(z) == hash(0)
+    assert (f + g) - g == f and (f - g) + g == f
+
+
+def test_sum_where_one_denominator_divides_the_other():
+    # [GL(12)] divides [GL(13)]; with l^12 on top of the second the
+    # numerator takes l^12 of their gcd back
+    gl12, gl13 = upsilon_group(GeneralLinear(12)), upsilon_group(GeneralLinear(13))
+    for c in (ONE, L**12, -(L**12)):
+        x, y = ONE / gl12, c / gl13
+        got = x + y
+        assert_canonical(got)
+        assert got == old_sum(x, y, 1)
+    assert ONE / gl12 + L**12 / gl13 == L**25 / gl13
+
+
+def test_sum_over_coprime_denominators():
+    # coprime outright, or once their gcd l - 1 comes off
+    assert ONE / (L - 1) + ONE / (L + 1) == RatFunc((0, 2), (-1, 0, 1))
+    got = ONE / (L**2 - 1) - ONE / ((L - 1) * (L**2 + 1))
+    assert got == RatFunc((0, 1), (1, 1, 1, 1))
+    assert (ONE / (L - 1) + ONE / (L + 1)) - ONE / (L + 1) == ONE / (L - 1)
+
+
+def test_sum_of_a_polynomial_or_constant_and_a_fraction():
+    f = (L + 3) / (L**2 - 1)
+    for p in (L**2 + 1, RatFunc(Fraction(-2, 3)), ONE):
+        got = p + f
+        assert_canonical(got)
+        assert got == old_sum(p, f, 1) and f + p == got
+        assert got - f == p and p - got == -f
+        assert got.den == f.den
+
+
+def test_sum_whose_numerator_takes_all_of_the_shared_factor():
+    # 1/(l - 1) - 1/(l(l - 1)) = (l - 1)/(l(l - 1)) = 1/l
+    got = ONE / (L - 1) - ONE / (L * (L - 1))
+    assert (got.num.ints, got.den.ints) == ((1,), (0, 1))
+    assert got == ONE / L
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_denominator_pairs())
+def test_sum_matches_the_constructor_reduction(pair):
+    # with s = f + g, the sums s - g and s - f take back what the
+    # numerator shares with the gcd of the denominators
+    (a, b), (c, d) = pair
+    f, g = RatFunc(Polynomial(a), Polynomial(b)), RatFunc(Polynomial(c), Polynomial(d))
+    s = f + g
+    for x, y in ((f, g), (s, g), (s, f)):
+        for sign in (1, -1):
+            got = x + y if sign > 0 else x - y
+            assert_canonical(got)
+            assert got == old_sum(x, y, sign)
 
 
 def test_equal_values_built_differently_hash_and_render_alike():
