@@ -21,9 +21,10 @@ from .coefficients import (
 )
 from .errors import GuardError
 from .groups import (
+    AbelianGroupClass,
     SetPartition,
+    TorusSubgroup,
     partition_to_subgroup,
-    q_lattice_gl,
     torus,
     upsilon_group,
 )
@@ -46,7 +47,6 @@ from .stackcalc import (
     upsilon_pi_mu,
     weight_mul,
 )
-from .subgroups import AbelianGroupClass, TorusSubgroup, poset_close
 
 __all__ = ["CheckReport", "run_suite", "SUITES"]
 
@@ -102,6 +102,8 @@ def _random_subgroup(rng, m):
 def check_mobius_crosscut(max_m=4, n_random=200):
     """The literal subset sums agree with the Mobius function: Rota's
     product formula on block tori, the recursion on random closed posets."""
+    from .subgroups import poset_close, q_lattice_gl  # loads numpy
+
     report = CheckReport("mobius-crosscut")
     for m in range(2, max_m + 1):
         lat = q_lattice_gl(m)
@@ -249,6 +251,8 @@ def check_model_pi1(max_m=3):
 
 def check_m_vanishing(n_instances=200):
     """The double Mobius coefficient dies when minimality fails."""
+    from .subgroups import poset_close  # loads numpy
+
     report = CheckReport("m-vanishing")
     rng = random.Random(0)
     while report.instances < n_instances:

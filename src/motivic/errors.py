@@ -1,5 +1,19 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "MotivicError",
+    "DivisionByZero",
+    "PoleAtOne",
+    "AmbientMismatch",
+    "NotInPoset",
+    "NotComparable",
+    "TooLarge",
+    "GuardError",
+    "NotAbelian",
+    "InternalInvariant",
+    "ExprSyntaxError",
+]
+
 
 class MotivicError(Exception):
     """Base class for every error raised by this package."""

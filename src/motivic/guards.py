@@ -13,7 +13,7 @@ medians of a few cold runs on a 2-vCPU x86-64 host.
 # 21,147 of them take 0.45 s.
 PARTITION_GUARD = 9
 
-# groups.PartitionLattice: the block-torus poset of GL(m) with its incidence
+# subgroups.PartitionLattice: the block-torus poset of GL(m) with its incidence
 # and Mobius tables, refused above this rank before any enumeration;
 # Bell(7) = 877 elements take 0.034-0.063 s (11 cold runs on a shared
 # 2-vCPU host).

@@ -8,10 +8,16 @@ point modulo an abelian group, or the plain class ratio).
 
 from __future__ import annotations
 
-from .groups import GeneralLinear, SetPartition, partition_to_subgroup, torus, upsilon_group
+from .groups import (
+    GeneralLinear,
+    SetPartition,
+    TorusSubgroup,
+    partition_to_subgroup,
+    torus,
+    upsilon_group,
+)
 from .ratfield import ELL
 from .stackcalc import StratifiedModel
-from .subgroups import TorusSubgroup
 
 __all__ = [
     "gl2_flag_model",

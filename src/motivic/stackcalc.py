@@ -22,8 +22,10 @@ from operator import index
 from .coefficients import bgl_type_terms, e_coeff_gl
 from .errors import NotAbelian, PoleAtOne, TooLarge
 from .groups import (
+    AbelianGroupClass,
     GeneralLinear,
     Torus,
+    TorusSubgroup,
     enumerate_partitions,
     group_rank,
     partition_to_subgroup,
@@ -41,7 +43,6 @@ from .ratfield import (
     pi_eval,
     signed_sum,
 )
-from .subgroups import AbelianGroupClass, TorusSubgroup
 
 __all__ = [
     "LambdaBarElem",

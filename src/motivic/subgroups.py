@@ -1,11 +1,13 @@
-"""Closed subgroups of a torus as integer character lattices.
+"""Posets of torus subgroups: incidence and Mobius tables, poset_close,
+and the block-torus lattices of GL(m).
 
-A closed subgroup S of the m-torus is stored through the lattice L(S) of
-characters vanishing on it, kept in row Hermite normal form.  Containment
-of subgroups reverses lattice inclusion and intersection of subgroups is
-lattice sum, so everything reduces to integer row reduction and the
-canonical forms make equality, poset construction and Mobius tables
-deterministic.
+This is the only module that imports numpy, which stores the poset
+tables, and no other module imports this one at load time, so only code
+that builds a poset loads numpy; of the command line, that is the
+mobius-crosscut and m-vanishing check suites.  The subgroups themselves
+(TorusSubgroup, the Hermite and Smith forms, AbelianGroupClass) live in
+groups and are importable from here too, TorusSubgroup by import and the
+rest through the module __getattr__.
 
 SubgroupPoset builds its incidence and Mobius tables eagerly, in exact
 Python integers with down-sets as bitmasks; numpy arrays only store them.
@@ -20,19 +22,34 @@ Queries are read-only afterwards.
 
 poset_close lists members bottom-up by _down_key.  Building a poset
 takes no Smith form; only iso_class does.
+
+PartitionLattice is the poset of block tori of GL(m), indexed by set
+partitions of {1..m}.  It reads both its tables off the partitions: its
+incidence, since the block torus of p lies inside the torus of the single
+2-block {i, j} iff i and j share a block of p, and its Mobius function,
+by Rota's product formula.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import gcd, prod
+from itertools import combinations
+from math import factorial, prod
 from operator import and_, index
 
 import numpy as np
 
+from . import groups
 from .errors import AmbientMismatch, NotComparable, NotInPoset, TooLarge
-from .guards import CROSSCUT_GUARD
+from .groups import (
+    TorusSubgroup,
+    _pivot_cols,
+    _require_subgroups,
+    _row_in_lattice,
+    enumerate_partitions,
+    partition_to_subgroup,
+)
+from .guards import CROSSCUT_GUARD, Q_LATTICE_GUARD
 
 __all__ = [
     "hnf",
@@ -41,98 +58,21 @@ __all__ = [
     "AbelianGroupClass",
     "SubgroupPoset",
     "poset_close",
+    "PartitionLattice",
+    "q_lattice_gl",
 ]
+
+_FROM_GROUPS = frozenset(("hnf", "snf_divisors", "AbelianGroupClass", "_iso_class_cached"))
+
+
+def __getattr__(name):
+    if name in _FROM_GROUPS:
+        return getattr(groups, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 # ---------------------------------------------------------------------------
-# integer matrix normal forms
-
-
-def hnf(mat):
-    """Unique row Hermite normal form of an integer matrix.
-
-    Pivots are positive, entries above a pivot are reduced into
-    [0, pivot), zero rows are dropped.  The row span over Z is preserved.
-    Entries convert with operator.index, so a non-integral one raises
-    TypeError instead of being truncated.
-    """
-    rows = [list(map(index, r)) for r in mat]
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged matrix")
-    r = 0
-    for c in range(ncols):
-        nz = [i for i in range(r, len(rows)) if rows[i][c] != 0]
-        while len(nz) > 1:
-            i0 = min(nz, key=lambda i: abs(rows[i][c]))
-            for i in nz:
-                if i == i0:
-                    continue
-                q = rows[i][c] // rows[i0][c]
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[i0])]
-            nz = [i for i in range(r, len(rows)) if rows[i][c] != 0]
-        if not nz:
-            continue
-        if nz[0] != r:
-            rows[r], rows[nz[0]] = rows[nz[0]], rows[r]
-        if rows[r][c] < 0:
-            rows[r] = [-a for a in rows[r]]
-        for i in range(r):
-            q = rows[i][c] // rows[r][c]
-            if q:
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return tuple(tuple(row) for row in rows[:r])
-
-
-def snf_divisors(mat):
-    """Elementary divisors of an integer matrix (Smith normal form diagonal,
-    zeros excluded), each dividing the next.
-
-    Row HNF of the matrix and of its transpose alternate until every row
-    holds a single entry, its positive pivot.  The loop ends: the top-left
-    pivot of a pass divides the one before it, so it never grows, and once
-    it stops shrinking it divides its whole row, so the next pass clears
-    its row and column and they stay clear; the pivots below it follow in
-    turn.  A diagonal form need not be a divisibility chain, so the
-    pivots go through _divisor_chain.
-    """
-    rows = hnf(mat)
-    while any(sum(1 for v in r if v) > 1 for r in rows):
-        rows = hnf(list(zip(*rows)))
-    return _divisor_chain([max(r) for r in rows])
-
-
-def _divisor_chain(divisors):
-    """Invariant factors of the diagonal matrix with these positive entries:
-    a chain with the same product, each dividing the next.
-
-    Once entry i has met every later entry it is their gcd with it, and the
-    later entries stay multiples of it, so one pass gives the chain.
-    """
-    d = list(divisors)
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            g = gcd(d[i], d[j])
-            d[i], d[j] = g, d[i] * d[j] // g
-    return d
-
-
-def _pivot_cols(rows):
-    return tuple(next(j for j, v in enumerate(r) if v != 0) for r in rows)
-
-
-def _row_in_lattice(row, rows, pivots):
-    """Exact Z-rowspan membership against an HNF basis."""
-    v = list(row)
-    for r, c in zip(rows, pivots):
-        if v[c]:
-            q = v[c] // r[c]
-            if q:
-                v = [a - q * b for a, b in zip(v, r)]
-    return all(x == 0 for x in v)
+# poset helpers
 
 
 def _down_key(rows):
@@ -154,148 +94,6 @@ def _bit_indices(mask):
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-# ---------------------------------------------------------------------------
-# abelian group classes
-
-
-@dataclass(frozen=True, order=True)
-class AbelianGroupClass:
-    """Isomorphism class of G_m^k x K with K finite abelian.
-
-    torsion is the chain of elementary divisors > 1, each dividing the
-    next; construction recanonicalizes arbitrary torsion lists.
-    """
-
-    torus_rank: int
-    torsion: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "torus_rank", index(self.torus_rank))
-        if self.torus_rank < 0:
-            raise ValueError("negative torus rank")
-        tors = tuple(map(index, self.torsion))
-        if any(t < 2 for t in tors):
-            raise ValueError("torsion invariants must be >= 2")
-        chain = tuple(d for d in _divisor_chain(tors) if d > 1)
-        object.__setattr__(self, "torsion", chain)
-
-    def torsion_order(self):
-        return prod(self.torsion) if self.torsion else 1
-
-    def product(self, other):
-        return AbelianGroupClass(self.torus_rank + other.torus_rank, self.torsion + other.torsion)
-
-    def __str__(self):
-        parts = []
-        if self.torus_rank == 1:
-            parts.append("Gm")
-        elif self.torus_rank > 1:
-            parts.append("Gm^%d" % self.torus_rank)
-        parts.extend("Z/%d" % d for d in self.torsion)
-        return " x ".join(parts) if parts else "1"
-
-    def to_json(self):
-        return {"rank": self.torus_rank, "torsion": list(self.torsion)}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["rank"], tuple(obj["torsion"]))
-
-
-# ---------------------------------------------------------------------------
-# torus subgroups
-
-
-@dataclass(frozen=True)
-class TorusSubgroup:
-    """Closed subgroup of G_m^ambient_rank, by its vanishing-character
-    lattice in canonical HNF.  Equality compares (ambient_rank, lattice)."""
-
-    ambient_rank: int
-    char_lattice: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "ambient_rank", index(self.ambient_rank))
-        if self.ambient_rank < 1:
-            raise ValueError("ambient rank must be positive")
-        rows = tuple(self.char_lattice)  # read an iterable once
-        # check the raw rows: hnf drops zero rows, whatever their length
-        if any(len(r) != self.ambient_rank for r in rows):
-            raise ValueError("lattice row length differs from ambient rank")
-        rows = hnf(rows)
-        if len(rows) > self.ambient_rank:
-            raise ValueError("lattice rank exceeds ambient rank")
-        object.__setattr__(self, "char_lattice", rows)
-
-    @classmethod
-    def full_torus(cls, m):
-        return cls(m, ())
-
-    @classmethod
-    def trivial(cls, m):
-        return cls(m, tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m)))
-
-    @property
-    def dim(self):
-        return self.ambient_rank - len(self.char_lattice)
-
-    def _same_ambient(self, other):
-        _require_subgroups((other,))
-        if self.ambient_rank != other.ambient_rank:
-            raise AmbientMismatch(
-                "ambient ranks differ: %d vs %d" % (self.ambient_rank, other.ambient_rank)
-            )
-
-    def intersect(self, other):
-        self._same_ambient(other)
-        return TorusSubgroup(self.ambient_rank, self.char_lattice + other.char_lattice)
-
-    def contains(self, other):
-        """True iff other is a subgroup of self (lattice inclusion reversed)."""
-        self._same_ambient(other)
-        if not self.char_lattice:
-            return True  # the full torus holds every subgroup
-        pivots = _pivot_cols(other.char_lattice)
-        return all(
-            _row_in_lattice(row, other.char_lattice, pivots) for row in self.char_lattice
-        )
-
-    def iso_class(self):
-        return _iso_class_cached(self)
-
-    def to_json(self):
-        return {"ambient": self.ambient_rank, "lattice": [list(r) for r in self.char_lattice]}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["ambient"], tuple(tuple(r) for r in obj["lattice"]))
-
-    def __str__(self):
-        return "Subgroup(%d, %s)" % (self.ambient_rank, list(map(list, self.char_lattice)))
-
-
-def _subgroup(m, rows):
-    """The TorusSubgroup of the m-torus with these lattice rows, already in
-    HNF, as given."""
-    out = TorusSubgroup.__new__(TorusSubgroup)
-    object.__setattr__(out, "ambient_rank", m)
-    object.__setattr__(out, "char_lattice", rows)
-    return out
-
-
-def _require_subgroups(items):
-    """TypeError, like the other constructors raise, for a non-subgroup."""
-    for x in items:
-        if not isinstance(x, TorusSubgroup):
-            raise TypeError("not a torus subgroup: %r" % (x,))
-
-
-@lru_cache(maxsize=None)
-def _iso_class_cached(s):
-    tors = tuple(d for d in snf_divisors(s.char_lattice) if d > 1)
-    return AbelianGroupClass(s.dim, tors)
 
 
 # ---------------------------------------------------------------------------
@@ -551,3 +349,72 @@ def poset_close(seed, top):
                 over[pos] |= 1 << k
         below.append(mask)
     return _Closure([members[i] for i in order], top, over, below)
+
+
+# ---------------------------------------------------------------------------
+# block tori of GL(m)
+
+
+class PartitionLattice(SubgroupPoset):
+    """The block-torus poset of GL(m) with its partition labels.
+
+    Block tori are closed under intersection (intersecting imposes the
+    union of the equalities, which is the common coarsening), so the
+    family is a valid SubgroupPoset without an explicit closure pass.
+    Its generators are the C(m, 2) tori with a single 2-block {i, j}, and
+    their incidence is read off the partitions, with no containment test;
+    so is the Mobius function, by Rota's product formula.
+    """
+
+    def __init__(self, m):
+        m = index(m)
+        if m > Q_LATTICE_GUARD:
+            raise TooLarge("block-torus lattice guarded at m <= %d" % Q_LATTICE_GUARD)
+        parts = enumerate_partitions(m)
+        self.m = m
+        self.partitions = tuple(parts)
+        elements = [partition_to_subgroup(p) for p in parts]
+        super().__init__(elements, TorusSubgroup.full_torus(m))
+
+    def _generator_masks(self):
+        """over[e] masks the pairs {i, j} inside a block of partition e,
+        below[j] the partitions with pair j inside a block."""
+        pairs = {ij: k for k, ij in enumerate(combinations(range(1, self.m + 1), 2))}
+        over, below = [], [0] * len(pairs)
+        for e, p in enumerate(self.partitions):
+            inside = [pairs[ij] for b in p.blocks for ij in combinations(b, 2)]
+            over.append(sum(1 << k for k in inside))
+            for k in inside:
+                below[k] |= 1 << e
+        return over, below
+
+    def _mobius_columns(self, downs):
+        """Rota's product formula: for a <= b, that is a coarser than b,
+        mu(a, b) = prod over the blocks A of a of f(|A & min(b)|), with
+        f(k) = (-1)^(k-1) (k-1)! and min(b) the set of least elements of
+        b's blocks.  Each block of b lies in one block A of a and adds its
+        least element to A & min(b), so the interval [a, b] is the product
+        over A of partition lattices of |A & min(b)| points.  A block of
+        one element gives f(1) = 1 and is skipped."""
+        f = [None] + [(-1) ** (k - 1) * factorial(k - 1) for k in range(1, self.m + 1)]
+        masks = [
+            [sum(1 << i for i in blk) for blk in p.blocks if len(blk) > 1]
+            for p in self.partitions
+        ]
+        cols = []
+        for p, down in zip(self.partitions, downs):
+            least = sum(1 << blk[0] for blk in p.blocks)
+            col = {}
+            for a in down:
+                v = 1
+                for mask in masks[a]:
+                    v *= f[(mask & least).bit_count()]
+                col[a] = v
+            cols.append(col)
+        return cols
+
+
+@lru_cache(maxsize=None)
+def q_lattice_gl(m):
+    """Poset of all block tori of GL(m); containment order, top = full torus."""
+    return PartitionLattice(m)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motivic import subgroups
+from motivic import groups
 from motivic.errors import TooLarge
 from motivic.groups import (
     GeneralLinear,
@@ -164,7 +164,7 @@ def test_partition_lattice_matches_the_generic_walk(m):
 def test_partition_lattice_reads_its_tables_off_the_partitions(calls):
     # members and Mobius values come as given: one hnf (the top), no
     # SetPartition validation and no Mobius recursion
-    calls.watch(subgroups, "hnf", "hnf")
+    calls.watch(groups, "hnf", "hnf")
     calls.watch(SetPartition, "__post_init__", "validate")
     calls.watch(SubgroupPoset, "_mobius_columns", "recursion")
     for m in range(1, 8):

@@ -1,10 +1,13 @@
 """Every imported name is used in the module that imports it, the package
-namespace is exactly the public lists of its modules, and the library
+namespace is exactly the public lists of its modules, the library
 imports nothing beyond the standard library and its declared
-dependencies."""
+dependencies, and numpy loads only with the posets."""
 
 import ast
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -55,15 +58,23 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
+# the names that load numpy with motivic.subgroups on first use
+POSET_NAMES = frozenset(("SubgroupPoset", "poset_close", "PartitionLattice", "q_lattice_gl"))
+
+
 def test_package_namespace_is_the_module_lists():
     expected = {n for n, v in vars(errors).items() if isinstance(v, type) and issubclass(v, Exception)}
     for mod in (ratfield, subgroups, groups, coefficients, stackcalc):
         expected.update(mod.__all__)
     expected.update(("eval_class", "parse", "render"))
+    assert sorted(motivic.__all__) == sorted(expected)
+    # bound at import, but for the posets, which resolve to subgroups'
     public = {
         n for n, v in vars(motivic).items() if not n.startswith("_") and not isinstance(v, ModuleType)
     }
-    assert public == expected
+    assert public == expected - POSET_NAMES
+    for name in POSET_NAMES:
+        assert getattr(motivic, name) is getattr(subgroups, name)
 
 
 def names_polynomial(tree):
@@ -236,3 +247,111 @@ def test_only_subgroups_imports_numpy():
         if imports_numpy(ast.parse(path.read_text(), str(path)))
     ]
     assert importers == ["subgroups.py"]
+
+
+def module_level_nodes(tree):
+    """The nodes a module runs when imported: all but function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def imports_posets(tree):
+    """Lines of module-level imports that load subgroups or bind one of the
+    poset names, from any module."""
+    lines = []
+    for node in module_level_nodes(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        if any("subgroups" in n.split(".") or n in POSET_NAMES for n in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_poset_import_scan_sees_module_level_imports_only():
+    src = (
+        "from .subgroups import x\nfrom . import subgroups\nimport motivic.subgroups\n"
+        "from .groups import PartitionLattice\nfrom motivic import poset_close\n"
+        "class C:\n    from .groups import q_lattice_gl\n"
+        "def f():\n    from .subgroups import SubgroupPoset\n"
+        "from .groups import TorusSubgroup\nsubgroups = 1\n"
+    )
+    assert imports_posets(ast.parse(src)) == [1, 2, 3, 4, 5, 7]
+
+
+def test_only_subgroups_loads_the_posets_at_import():
+    # numpy loads with subgroups, so a module that imports it, or a poset
+    # name, at load time puts numpy on every command's start-up
+    found = []
+    for path in sorted((ROOT / "src" / "motivic").glob("*.py")):
+        if path.name == "subgroups.py":
+            continue
+        for line in imports_posets(ast.parse(path.read_text(), str(path))):
+            found.append("%s:%d" % (path.relative_to(ROOT), line))
+    assert not found, "subgroups or a poset imported at module level:\n" + "\n".join(found)
+
+
+# each command line call builds no poset; the last six are one refusal of
+# each kind the benchmark's cli workload makes, exit status 2
+NO_POSET_CALLS = [
+    (["eval", "[P^2 / GL(2)] + [pt / Gm^2]"], 0),
+    (["eval", "[P^2 / GL(2)] + [pt / Gm^2]", "--json"], 0),
+    (["eff-table", "--max", "3"], 0),
+    (["abelianize", "3"], 0),
+    (["euler", "3"], 0),
+    (["check", "consistency", "--max", "2"], 0),
+    (["check", "eff-recursion", "--max", "2"], 0),
+    (["check", "model-pi1", "--max", "2"], 0),
+    (["check", "operator-algebra", "--max", "1"], 0),
+    (["eval", "GL(17)", "--json"], 2),
+    (["eval", "A^65", "--json"], 2),
+    (["eval", "[pt / GL(2)", "--json"], 2),
+    (["eval", "P^2 +", "--json"], 2),
+    (["eff-table", "--max", "8", "--json"], 2),
+    (["check", "mobius-crosscut", "--max", "0", "--json"], 2),
+]
+
+# runs each argv in turn, printing exit status and whether numpy is loaded
+_CALLS_SCRIPT = """
+import contextlib, io, json, sys
+from motivic.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    print(json.dumps([rc, "numpy" in sys.modules]))
+"""
+
+
+def fresh_python(*argv):
+    """stdout lines of a new interpreter run on the source tree."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()
+
+
+def test_commands_that_build_no_poset_never_load_numpy():
+    argvs = [argv for argv, _ in NO_POSET_CALLS] + [["check", "mobius-crosscut", "--max", "1"]]
+    seen = [json.loads(line) for line in fresh_python("-c", _CALLS_SCRIPT, json.dumps(argvs))]
+    assert seen[:-1] == [[rc, False] for _, rc in NO_POSET_CALLS]
+    # the first poset suite loads it
+    assert seen[-1] == [0, True]
+
+
+def test_importing_subgroups_loads_numpy():
+    # at import, never inside a timed poset build
+    script = "import sys, motivic.subgroups; print('numpy' in sys.modules)"
+    assert fresh_python("-c", script) == ["True"]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motivic import subgroups
+from motivic import groups, subgroups
 from motivic.errors import AmbientMismatch, NotComparable, NotInPoset, TooLarge
 from motivic.groups import GeneralLinear, PartitionLattice, SetPartition
 from motivic.stackcalc import WeightFn
@@ -667,12 +667,13 @@ def lattice_seeds(seed, count):
 
 
 def test_posets_need_no_smith_form(monkeypatch):
-    # building a poset orders its members by _down_key, never by iso class
+    # building a poset orders its members by _down_key, never by iso class;
+    # the Smith form is patched where iso classes call it, in groups
     def refuse(mat):
         raise AssertionError("Smith form taken")
 
     _iso_class_cached.cache_clear()
-    monkeypatch.setattr(subgroups, "snf_divisors", refuse)
+    monkeypatch.setattr(groups, "snf_divisors", refuse)
     for elements in torsion_families(47, 40):
         poset_close(elements, TorusSubgroup.full_torus(elements[0].ambient_rank))
     for seeds in lattice_seeds(53, 3):
@@ -741,8 +742,10 @@ def test_poset_close_tables_match_the_generic_walk():
 
 
 def test_poset_close_makes_no_containment_test(calls):
-    # the closure's incidence comes from its own meets
+    # the closure's incidence comes from its own meets; row tests run in
+    # SubgroupPoset's generic table and in TorusSubgroup.contains (groups)
     calls.watch(subgroups, "_row_in_lattice", "row test")
+    calls.watch(groups, "_row_in_lattice", "row test")
     for elements in torsion_families(73, 40):
         poset_close(elements, TorusSubgroup.full_torus(elements[0].ambient_rank))
     for seeds in lattice_seeds(79, 3):
