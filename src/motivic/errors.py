@@ -36,7 +36,7 @@ class AmbientMismatch(MotivicError):
 
 
 class NotInPoset(MotivicError):
-    """A subgroup passed to a poset query is not one of its elements."""
+    """A subgroup or index passed to a poset query is not in the poset."""
 
 
 class NotComparable(MotivicError):

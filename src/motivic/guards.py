@@ -15,7 +15,7 @@ PARTITION_GUARD = 9
 
 # subgroups.PartitionLattice: the block-torus poset of GL(m) with its incidence
 # and Mobius tables, refused above this rank before any enumeration;
-# Bell(7) = 877 elements take 0.034-0.063 s (11 cold runs on a shared
+# Bell(7) = 877 elements take 0.009-0.013 s (22 cold runs on a shared
 # 2-vCPU host).
 Q_LATTICE_GUARD = 7
 

@@ -9,31 +9,29 @@ mobius-crosscut and m-vanishing check suites.  The subgroups themselves
 groups and are importable from here too, TorusSubgroup by import and the
 rest through the module __getattr__.
 
-SubgroupPoset builds its incidence and Mobius tables eagerly, in exact
-Python integers with down-sets as bitmasks; numpy arrays only store them.
-The incidence is read off generators, subgroups such that each member is
-top met with those containing it: _generator_masks takes the rows of the
-members' lattices, each cutting out one such subgroup, and tests which
-lattices hold which row; _mobius_columns runs the Mobius recursion up the
-incidence.  A subclass that knows its generators may supply the masks
-directly, as a poset_close result does with its seeds, and one that
-knows a closed form for its Mobius function may supply the columns.
-Queries are read-only afterwards.
+SubgroupPoset builds its incidence and Mobius tables eagerly, in one
+pass from a bitmask per member, its down-set: _leq unpacks the masks
+into a bool table and _mu scatters the Mobius value of each pair a <= b,
+an exact Python integer, into a zero object table; numpy only stores
+them.  Built directly, a poset reads its masks off the rows of the
+members' lattices, each cutting out a subgroup, and runs the Mobius
+recursion up the incidence (_mobius_columns).  A subclass that knows its
+down-sets may supply them (_down_masks), as a poset_close result does
+from its meets, and one with a closed form for its Mobius function may
+supply the values (_mobius_values).  Queries are read-only afterwards.
 
 poset_close lists members bottom-up by _down_key.  Building a poset
 takes no Smith form; only iso_class does.
 
 PartitionLattice is the poset of block tori of GL(m), indexed by set
 partitions of {1..m}.  It reads both its tables off the partitions: its
-incidence, since the block torus of p lies inside the torus of the single
-2-block {i, j} iff i and j share a block of p, and its Mobius function,
-by Rota's product formula.
+down-sets, since the block torus of a lies inside that of b iff a is
+coarser than b, and its Mobius function, by Rota's product formula.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import combinations
 from math import factorial, prod
 from operator import and_, index
 
@@ -86,16 +84,6 @@ def _down_key(rows):
     return (-len(rows), prod(next(v for v in r if v) for r in rows))
 
 
-def _bit_indices(mask):
-    """Positions of the set bits of a nonnegative int, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 # ---------------------------------------------------------------------------
 # posets
 
@@ -104,16 +92,16 @@ class SubgroupPoset:
     """A finite family of torus subgroups ordered by containment, under a
     top that holds every member.
 
-    Which members lie in which generators comes from _generator_masks, and
-    the Mobius values from _mobius_columns.  Built directly, the poset tests
+    The down-set bitmasks come from _down_masks and the Mobius values of
+    the pairs a <= b from _mobius_values.  Built directly, the poset tests
     which lattices hold which members' rows, so its tables are right for
-    any family; a subclass whose generators are known overrides the first
+    any family; a subclass whose down-sets are known overrides the first
     hook, as the closure of poset_close and PartitionLattice do, and one
     whose Mobius function has a closed form the second.  crosscut_coeff
     looks up meets, so it still needs the family closed under intersection
     (verify_intersection_closed checks it).  Both tables are built at
     construction, so all queries afterwards are read-only and safe to
-    share across threads.
+    share across threads; by-index queries refuse indices outside the poset.
     """
 
     def __init__(self, elements, top):
@@ -137,44 +125,48 @@ class SubgroupPoset:
         self.elements = elements
         self.top = top
         self._index = index
+        # down[b, a] is bit a of b's down-set mask; the flat nonzero lists the
+        # pairs a <= b by b, then a, read through one shared int per index
         n = len(elements)
-        downs = self._down_sets()
-        self._leq = np.zeros((n, n), dtype=bool)
-        for b, down in enumerate(downs):
-            self._leq[down, b] = True
+        raw = b"".join(d.to_bytes((n + 7) // 8, "little") for d in self._down_masks())
+        down = np.frombuffer(raw, np.uint8).reshape(n, -1)
+        down = np.unpackbits(down, axis=1, count=n, bitorder="little").view(bool)
+        self._leq = down.T
+        cols, rows = np.divmod(np.flatnonzero(down), n)
+        ids = np.arange(n, dtype=object)
+        values = self._mobius_values(ids[rows].tolist(), ids[cols].tolist())
         mu = self._mu = np.zeros((n, n), dtype=object)
-        for b, col in enumerate(self._mobius_columns(downs)):
-            for a, v in col.items():
-                mu[a, b] = v
+        mu[rows, cols] = values
 
-    # -- construction helpers
+    # -- construction hooks
 
-    def _down_sets(self):
-        """For each element b, the indices of the elements a inside b.
+    def _down_masks(self):
+        """For each element b, the bitmask of the elements a inside b.
 
-        over[b] masks generators containing b whose meet with top is b;
-        top holds every element, so a <= b iff a lies in each of them: the
-        down-set of b is the AND of their below-masks.
+        The generators are the distinct rows of the members' lattices, each
+        cutting out one subgroup: over[b] lists the rows of b's HNF basis
+        and below[j] masks the members whose lattice holds row j.  So a
+        lies in every generator over b iff L(b) lies in L(a), which is the
+        definition of a <= b: the down-set of b is the AND of those masks.
         """
-        over, below = self._generator_masks()
-        full = (1 << len(self.elements)) - 1
-        downs = (reduce(and_, (below[j] for j in _bit_indices(m)), full) for m in over)
-        return [_bit_indices(down) for down in downs]
-
-    def _generator_masks(self):
-        """(over, below) with the distinct rows of the members' lattices as
-        generators, each cutting out one subgroup: over[e] masks the rows of
-        e's HNF basis and below[j] the members whose lattice holds row j.
-        So a lies in every generator over b iff L(b) lies in L(a), which is
-        the definition of a <= b."""
         if not all(self.top.contains(e) for e in self.elements):
             raise ValueError("top does not contain every element")
         lattices = [e.char_lattice for e in self.elements]
         rows = {}
-        over = [sum(1 << rows.setdefault(r, len(rows)) for r in lat) for lat in lattices]
+        over = [[rows.setdefault(r, len(rows)) for r in lat] for lat in lattices]
         held = [(lat, _pivot_cols(lat)) for lat in lattices]
         below = [sum(1 << e for e, h in enumerate(held) if _row_in_lattice(r, *h)) for r in rows]
-        return over, below
+        full = (1 << len(lattices)) - 1
+        return [reduce(and_, (below[j] for j in js), full) for js in over]
+
+    def _mobius_values(self, rows, cols):
+        """mu(a, b) for each pair a = rows[k] <= b = cols[k], the pairs
+        listed by b: grouped into down-sets for _mobius_columns."""
+        downs = [[] for _ in self.elements]
+        for a, b in zip(rows, cols):
+            downs[b].append(a)
+        by_col = self._mobius_columns(downs)
+        return [by_col[b][a] for a, b in zip(rows, cols)]
 
     def _mobius_columns(self, downs):
         """The Mobius table as one dict {a: mu(a, b)} per column b, over the
@@ -205,14 +197,22 @@ class SubgroupPoset:
         except KeyError:
             raise NotInPoset("%s is not in the poset" % (subgroup,)) from None
 
+    def _at(self, i):
+        """i as an element index, refused unless 0 <= i < len(self)."""
+        i = index(i)
+        if not 0 <= i < len(self.elements):
+            raise NotInPoset("index %d is outside 0..%d" % (i, len(self.elements) - 1))
+        return i
+
     def leq(self, a, b):
         """Whether subgroup a is contained in subgroup b."""
         return bool(self._leq[self.index_of(a), self.index_of(b)])
 
     def leq_by_index(self, i, j):
-        return bool(self._leq[i, j])
+        return bool(self._leq[self._at(i), self._at(j)])
 
     def mobius_by_index(self, i, j):
+        i, j = self._at(i), self._at(j)
         if not self._leq[i, j]:
             raise NotComparable("elements are not nested")
         return int(self._mu[i, j])
@@ -222,12 +222,10 @@ class SubgroupPoset:
         return self.mobius_by_index(self.index_of(a), self.index_of(b))
 
     def down_set(self, b):
-        j = self.index_of(b)
-        return [int(i) for i in np.nonzero(self._leq[:, j])[0]]
+        return np.flatnonzero(self._leq[:, self.index_of(b)]).tolist()
 
     def up_set(self, a):
-        i = self.index_of(a)
-        return [int(j) for j in np.nonzero(self._leq[i, :])[0]]
+        return np.flatnonzero(self._leq[self.index_of(a), :]).tolist()
 
     def crosscut_coeff(self, lower, upper):
         """Literal subset sum over B in the down-set of upper with upper in B
@@ -236,7 +234,7 @@ class SubgroupPoset:
         iup = self.index_of(upper)
         if not self._leq[ilo, iup]:
             raise NotComparable("lower is not contained in upper")
-        down = [int(i) for i in np.nonzero(self._leq[:, iup])[0]]
+        down = self.down_set(upper)
         if len(down) > CROSSCUT_GUARD:
             raise TooLarge(
                 "down-set has %d elements; crosscut guard is %d" % (len(down), CROSSCUT_GUARD)
@@ -275,15 +273,15 @@ class SubgroupPoset:
 
 
 class _Closure(SubgroupPoset):
-    """A poset_close result, whose generator masks come with it: the
-    closure's seeds serve as generators, read off the meets it took."""
+    """A poset_close result, whose down-set masks come with it, read off
+    the meets the closure took."""
 
-    def __init__(self, elements, top, over, below):
-        self._masks = over, below
+    def __init__(self, elements, top, downs):
+        self._downs = downs
         super().__init__(elements, top)
 
-    def _generator_masks(self):
-        return self._masks
+    def _down_masks(self):
+        return self._downs
 
 
 def poset_close(seed, top):
@@ -302,10 +300,9 @@ def poset_close(seed, top):
     a member before that pass; so its entry is a lookup, and n members cost
     n*k lookups besides the intersections.  Member i lies in s_t iff
     meets[t][i] == i.  Since b is top met with the seeds containing it,
-    a <= b iff a lies in every seed that contains b: the seeds, with those
-    bits as masks, serve as the generators of SubgroupPoset.  A seed
-    skipped as already a member is a meet of earlier seeds and needs no
-    bit.
+    a <= b iff a lies in every seed that contains b: the down-set mask of
+    b is the AND of the masks of those seeds.  A seed skipped as already a
+    member is a meet of earlier seeds and needs no mask.
 
     Members are listed bottom-up by _down_key, that is by (dimension,
     pivot product of the HNF lattice), ties broken by the HNF rows: a
@@ -340,15 +337,13 @@ def poset_close(seed, top):
         range(len(members)),
         key=lambda i: (_down_key(members[i].char_lattice), members[i].char_lattice),
     )
-    over, below = [0] * len(order), []
-    for k, row in enumerate(meets):
-        mask = 0
-        for pos, i in enumerate(order):
-            if row[i] == i:
-                mask |= 1 << pos
-                over[pos] |= 1 << k
-        below.append(mask)
-    return _Closure([members[i] for i in order], top, over, below)
+    downs = [(1 << len(order)) - 1] * len(order)
+    for row in meets:
+        inside = [pos for pos, i in enumerate(order) if row[i] == i]
+        mask = sum(1 << pos for pos in inside)
+        for pos in inside:
+            downs[pos] &= mask
+    return _Closure([members[i] for i in order], top, downs)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +356,8 @@ class PartitionLattice(SubgroupPoset):
     Block tori are closed under intersection (intersecting imposes the
     union of the equalities, which is the common coarsening), so the
     family is a valid SubgroupPoset without an explicit closure pass.
-    Its generators are the C(m, 2) tori with a single 2-block {i, j}, and
-    their incidence is read off the partitions, with no containment test;
-    so is the Mobius function, by Rota's product formula.
+    Its down-sets are read off the partitions, with no containment test,
+    and so are its Mobius values, by Rota's product formula.
     """
 
     def __init__(self, m):
@@ -376,19 +370,26 @@ class PartitionLattice(SubgroupPoset):
         elements = [partition_to_subgroup(p) for p in parts]
         super().__init__(elements, TorusSubgroup.full_torus(m))
 
-    def _generator_masks(self):
-        """over[e] masks the pairs {i, j} inside a block of partition e,
-        below[j] the partitions with pair j inside a block."""
-        pairs = {ij: k for k, ij in enumerate(combinations(range(1, self.m + 1), 2))}
-        over, below = [], [0] * len(pairs)
+    def _down_masks(self):
+        """a <= b iff a is coarser than b, that is iff each block of b lies
+        in a block of a: iff the least element of each block B of b shares
+        a block of a with every other element of B.  same[i][j] masks the
+        partitions with i and j in one block, and b's down-set is the AND
+        of those masks over b's star pairs, m minus its block count."""
+        m = self.m
+        same = [[0] * (m + 1) for _ in range(m + 1)]
         for e, p in enumerate(self.partitions):
-            inside = [pairs[ij] for b in p.blocks for ij in combinations(b, 2)]
-            over.append(sum(1 << k for k in inside))
-            for k in inside:
-                below[k] |= 1 << e
-        return over, below
+            for blk in p.blocks:
+                for k, i in enumerate(blk):
+                    for j in blk[k + 1 :]:
+                        same[i][j] |= 1 << e
+        full = (1 << len(self.partitions)) - 1
+        return [
+            reduce(and_, (same[blk[0]][j] for blk in p.blocks for j in blk[1:]), full)
+            for p in self.partitions
+        ]
 
-    def _mobius_columns(self, downs):
+    def _mobius_values(self, rows, cols):
         """Rota's product formula: for a <= b, that is a coarser than b,
         mu(a, b) = prod over the blocks A of a of f(|A & min(b)|), with
         f(k) = (-1)^(k-1) (k-1)! and min(b) the set of least elements of
@@ -401,17 +402,14 @@ class PartitionLattice(SubgroupPoset):
             [sum(1 << i for i in blk) for blk in p.blocks if len(blk) > 1]
             for p in self.partitions
         ]
-        cols = []
-        for p, down in zip(self.partitions, downs):
-            least = sum(1 << blk[0] for blk in p.blocks)
-            col = {}
-            for a in down:
-                v = 1
-                for mask in masks[a]:
-                    v *= f[(mask & least).bit_count()]
-                col[a] = v
-            cols.append(col)
-        return cols
+        least = [sum(1 << blk[0] for blk in p.blocks) for p in self.partitions]
+        out = []
+        for a, b in zip(rows, cols):
+            v, lb = 1, least[b]
+            for mask in masks[a]:
+                v *= f[(mask & lb).bit_count()]
+            out.append(v)
+        return out
 
 
 @lru_cache(maxsize=None)

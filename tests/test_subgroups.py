@@ -464,13 +464,19 @@ def test_crosscut_equals_mobius_random_posets():
         done += 1
 
 
+def missing_meet_family():
+    """(top, x1, x2, mu2, mu3) in rank 3: x1 and x2 meet in a subgroup
+    that is missing, and so do mu2 and mu3 (in the trivial group)."""
+    x1, x2 = TorusSubgroup(3, ((1, 0, 0),)), TorusSubgroup(3, ((0, 1, 0),))
+    mu2, mu3 = (TorusSubgroup(3, ((1, 0, 0), (0, 1, 0), (0, 0, d))) for d in (2, 3))
+    return TorusSubgroup.full_torus(3), x1, x2, mu2, mu3
+
+
 def test_crosscut_names_the_missing_meet():
     # mobius reads containment off the rows and answers, but the subset sum
     # needs every meet; the first one missing is x1 meet x2
-    x1, x2 = TorusSubgroup(3, ((1, 0, 0),)), TorusSubgroup(3, ((0, 1, 0),))
-    mu2, mu3 = (TorusSubgroup(3, ((1, 0, 0), (0, 1, 0), (0, 0, d))) for d in (2, 3))
-    top = TorusSubgroup.full_torus(3)
-    p = SubgroupPoset([top, x1, x2, mu2, mu3], top)
+    top, x1, x2, mu2, mu3 = family = missing_meet_family()
+    p = SubgroupPoset(family, top)
     assert p.mobius(mu2, top) == 1
     with pytest.raises(NotInPoset) as caught:
         p.crosscut_coeff(mu2, top)
@@ -622,23 +628,68 @@ def test_tables_of_families_that_are_not_closed():
     # a direct poset reads containment off the lattices' rows, not meets;
     # mu2 and mu3 in the third coordinate meet in the trivial group, which
     # is missing here
-    x1, x2 = TorusSubgroup(3, ((1, 0, 0),)), TorusSubgroup(3, ((0, 1, 0),))
-    mu2, mu3 = (TorusSubgroup(3, ((1, 0, 0), (0, 1, 0), (0, 0, d))) for d in (2, 3))
-    top = TorusSubgroup.full_torus(3)
-    p = SubgroupPoset([top, x1, x2, mu2, mu3], top)
+    top, x1, x2, mu2, mu3 = family = missing_meet_family()
+    p = SubgroupPoset(family, top)
     assert not p.verify_intersection_closed()
     assert not p.leq(mu2, mu3) and not p.leq(mu3, mu2) and p.leq(mu2, x1)
     assert_tables_match_definitions(p)
-    # seeded closures with each member but top dropped at random
-    rng = random.Random(97)
     not_closed = 0
-    for elements in torsion_families(97, 200):
-        top = TorusSubgroup.full_torus(elements[0].ambient_rank)
-        kept = [e for e in elements if e == top or rng.random() >= 0.4]
-        p = SubgroupPoset(kept, top)
+    for p in thinned_closures(97, 200):
         assert_tables_match_definitions(p)
         not_closed += not p.verify_intersection_closed()
     assert not_closed >= 40
+
+
+def thinned_closures(seed, count):
+    """Direct posets of seeded closures with each member but top dropped
+    at random."""
+    rng = random.Random(seed)
+    for elements in torsion_families(seed, count):
+        top = TorusSubgroup.full_torus(elements[0].ambient_rank)
+        yield SubgroupPoset([e for e in elements if e == top or rng.random() >= 0.4], top)
+
+
+def assert_exact_storage(p):
+    """_leq is a bool table and _mu holds a Python int in every entry, 0
+    off the incidence."""
+    n = len(p)
+    assert p._leq.dtype == bool and p._leq.shape == p._mu.shape == (n, n)
+    assert {type(v) for v in p._mu.flat} == {int}
+    assert not any(p._mu[~p._leq])
+
+
+def test_tables_are_stored_exactly():
+    # one scatter fills _mu: each entry must still be a Python int, and each
+    # off the pairs a <= b still the 0 it started as
+    for m in range(1, 8):
+        assert_exact_storage(PartitionLattice(m))
+    for seeds, top, _ in closure_families(89, 60):
+        assert_exact_storage(poset_close(seeds, top))
+    for seeds in lattice_seeds(101, 2):
+        assert_exact_storage(poset_close(seeds, TorusSubgroup.full_torus(6)))
+    top, *_ = family = missing_meet_family()
+    assert_exact_storage(SubgroupPoset(family, top))
+    for p in thinned_closures(97, 200):
+        assert_exact_storage(p)
+
+
+def test_by_index_queries_refuse_indices_outside_the_poset():
+    lat = PartitionLattice(3)
+    # numpy would wrap -1 to the last element, and raise its own errors
+    # for 5 and 9 and for a bool, which it reads as a mask
+    for i, j in ((-1, -1), (5, 9), (0, 5), (-6, 0)):
+        with pytest.raises(NotInPoset, match="outside 0..4"):
+            lat.leq_by_index(i, j)
+        with pytest.raises(NotInPoset, match="outside 0..4"):
+            lat.mobius_by_index(i, j)
+    # any integer type is an index: True is 1
+    assert lat.leq_by_index(True, True) and lat.mobius_by_index(True, True) == 1
+    assert lat.mobius_by_index(3, True) == lat.mobius_by_index(3, 1) == -1
+    assert lat.mobius_by_index(np.int64(3), np.int8(0)) == 2
+    with pytest.raises(NotComparable):
+        lat.mobius_by_index(True, 2)
+    with pytest.raises(TypeError):
+        lat.leq_by_index(1.0, 2)
 
 
 def _down_key_of(e):
