@@ -7,9 +7,11 @@ of E(|b|), over the Weyl index.  Neither builds the block-torus lattice; the
 defining Mobius-weighted sum over it is the test oracle.  Consistency is
 E = (l - 1) * log G itself, so it checks the block-size-type products
 (bgl_type_terms) against the recurrence; the E recursion (both sides exp
-coefficients) and the Mobius oracle check E independently.  The same sum
-over every set partition lives on as the point-stack model's
-abelianization (stackcalc.abelianize_model), which projections weight.
+coefficients of the library's own E) and the Mobius oracle check E
+independently.  scalar_e is the layer's one size gate: tables, block-size
+terms and residuals all reach E through it.  The same sum over every set
+partition lives on as the point-stack model's abelianization
+(stackcalc.abelianize_model), which projections weight.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import factorial, prod
 
 from .errors import InternalInvariant, NotComparable, TooLarge
 from .groups import GeneralLinear, SetPartition, torus, upsilon_group, weyl_index_gl
-from .guards import E_GUARD, RECURSION_GUARD
+from .guards import E_GUARD
 from .ratfield import ELL, ONE, ZERO, RatFunc, in_lambda_circ, pi_eval
 
 __all__ = [
@@ -96,9 +98,19 @@ def e_coeff_gl(q):
 
 def scalar_e(m):
     """E(m): the coefficient of the scalar torus in GL(m)."""
+    if m < 1:
+        raise ValueError("m must be positive")
     if m > E_GUARD:
         raise TooLarge("E coefficients guarded at m <= %d" % E_GUARD)
     return e_coeff_gl(SetPartition.one_block(m))
+
+
+def _e_rows(n):
+    """E(1..n) as a tuple, for tables and the recursion residuals."""
+    # from the top down: scalar_e(n) refuses a size past E_GUARD before any
+    # work, and on an accepted size its recurrence caches every smaller row
+    top = scalar_e(n)
+    return tuple(scalar_e(m) for m in range(1, n)) + (top,)
 
 
 def bgl_type_terms(m):
@@ -107,8 +119,11 @@ def bgl_type_terms(m):
     The sum over block tori Q of E(GL(m), Q) * [G_m^blocks(Q)], with the
     block tori of type lambda (an integer partition of m) taken together:
     they share one E and together give the pair
-    (len(lambda), type_weight(lambda) * prod_i E(lambda_i)).
+    (len(lambda), type_weight(lambda) * prod_i E(lambda_i)).  The first
+    type is (m,), so E(m) refuses a size past E_GUARD before any other row.
     """
+    if m < 1:
+        raise ValueError("m must be positive")
     for sizes in integer_partitions(m):
         coeff = RatFunc(type_weight(sizes))
         for k in sizes:
@@ -130,12 +145,7 @@ class ECoeffTable:
 
     @classmethod
     def build(cls, max_m):
-        if max_m < 1:
-            raise ValueError("max_m must be positive")
-        # from the top down: scalar_e(max_m) refuses a size past E_GUARD
-        # before any work, and on an accepted size its recurrence caches
-        # every smaller row
-        es = tuple(reversed([scalar_e(m) for m in range(max_m, 0, -1)]))
+        es = _e_rows(max_m)
         return cls(max_m, es, tuple(pi_eval(e) for e in es))
 
     def e(self, m):
@@ -143,15 +153,6 @@ class ECoeffTable:
 
     def f(self, m):
         return self.scalar_f[m - 1]
-
-
-def _check_level(m, table):
-    if m < 1:
-        raise ValueError("m must be positive")
-    if m > RECURSION_GUARD:
-        raise TooLarge("recursion residual guarded at m <= %d" % RECURSION_GUARD)
-    if table.max_m < m + 1:
-        raise ValueError("table must be populated through m + 1 = %d" % (m + 1))
 
 
 def _exp_coeffs(a, n):
@@ -163,31 +164,32 @@ def _exp_coeffs(a, n):
     return c
 
 
-def e_recursion_residual(m, table):
-    """Left minus right side of the E recursion at level m; must vanish.
-
-    With W = sum_k (l^k - 1)/(l - 1) * E(k) x^k, the left side is
-    [x^(m+1)] exp(W) and the right side l^(-m) * [x^m] exp(-W).
-    """
-    _check_level(m, table)
-    w = {k: (ELL**k - 1) / (ELL - 1) * table.e(k) for k in range(1, m + 2)}
-    right = _exp_coeffs({k: -v for k, v in w.items()}, m)[m] / ELL**m
-    return _exp_coeffs(w, m + 1)[m + 1] - right
-
-
-def f_recursion_residual(m, table):
-    """Rational-number shadow of the E recursion (weights k * F(k)); must vanish."""
-    _check_level(m, table)
-    w = {k: k * table.f(k) for k in range(1, m + 2)}
+def _recursion_residual(m, weight, scale):
+    """[x^(m+1)] exp(W) - scale * [x^m] exp(-W) with W = sum_k weight(k, E(k))
+    x^k over the library's own E(1..m + 1); E(m + 1) bounds the level by
+    E_GUARD - 1."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    w = {k: weight(k, e) for k, e in enumerate(_e_rows(m + 1), 1)}
     right = _exp_coeffs({k: -v for k, v in w.items()}, m)[m]
-    return _exp_coeffs(w, m + 1)[m + 1] - right
+    return _exp_coeffs(w, m + 1)[m + 1] - scale * right
+
+
+def e_recursion_residual(m):
+    """Left minus right side of the E recursion at level m; must vanish:
+    weights (l^k - 1)/(l - 1) * E(k) and the right side scaled by l^(-m)."""
+    return _recursion_residual(m, lambda k, e: (ELL**k - 1) / (ELL - 1) * e, ONE / ELL**m)
+
+
+def f_recursion_residual(m):
+    """Rational-number shadow of the E recursion (weights k * F(k), F(k) =
+    pi_eval(E(k))); must vanish."""
+    return _recursion_residual(m, lambda k, e: k * pi_eval(e), 1)
 
 
 def consistency_residual(m):
     """1/Upsilon(GL(m)) minus the sum over block tori Q of
     E(GL(m), Q)/Upsilon(Q), summed by block-size type; identically zero."""
-    if m < 1:
-        raise ValueError("m must be positive")
     total = ZERO
     for rank, coeff in bgl_type_terms(m):
         total = total + coeff / upsilon_group(torus(rank))

@@ -20,17 +20,13 @@ PARTITION_GUARD = 9
 Q_LATTICE_GUARD = 7
 
 # coefficients.scalar_e, before any work, and e_coeff_gl: E(GL(m), Q) for
-# m up to this, the one size policy of eff-table, abelianize/euler and the
-# consistency suite.  Cold: ECoeffTable.build(7) 0.010-0.015 s,
-# abelianize_bgl(7) with gen_euler 0.017-0.023 s, consistency_residual(7)
-# 0.019-0.032 s.  eff-table --max 8 is a refusal pinned by bench goldens.
+# m up to this, the one size policy of eff-table, abelianize/euler, the
+# consistency suite and the recursion residuals, whose level m reads
+# E(m + 1) and so stops at E_GUARD - 1.  Cold: ECoeffTable.build(7)
+# 0.010-0.015 s, abelianize_bgl(7) with gen_euler 0.017-0.023 s,
+# consistency_residual(7) 0.019-0.032 s.  eff-table --max 8 is a refusal
+# pinned by bench goldens.
 E_GUARD = 7
-
-# coefficients.e_recursion_residual and f_recursion_residual: the residual
-# level.  It binds only on a hand-built table, since a built one stops at
-# E_GUARD and level m reads rows up to m + 1; level 8 takes 0.03 s on
-# the true E(1..9).
-RECURSION_GUARD = 8
 
 # stackcalc.abelianize_model, behind every projection, on a GL(m) model: one
 # term per set partition of {1..m} and stratum; the GL(5) point model 0.03 s.

@@ -426,6 +426,7 @@ class RatFunc:
         return _value(other) / self
 
     def __pow__(self, k):
+        k = index(k)
         if k < 0:
             if self.is_zero():
                 raise DivisionByZero("negative power of zero")

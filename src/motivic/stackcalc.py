@@ -183,6 +183,16 @@ def gen_euler(x):
 # weight functions
 
 
+def _sorted_once(pairs, what):
+    """The (key, value) pairs sorted, refusing a key given twice: a class
+    compares in its canonical form, so Z/2 x Z/3 and Z/6 are one key."""
+    pairs = tuple(sorted(pairs))
+    for (a, _), (b, _) in zip(pairs, pairs[1:]):
+        if a == b:
+            raise ValueError("%s %s given twice" % (what, a))
+    return pairs
+
+
 @dataclass(frozen=True)
 class WeightFn:
     """Rational weight on isomorphism classes of groups G_m^k x K.
@@ -198,16 +208,10 @@ class WeightFn:
     default: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "class_overrides",
-            tuple(sorted((c, exact_fraction(v)) for c, v in self.class_overrides)),
-        )
-        object.__setattr__(
-            self,
-            "rank_weights",
-            tuple(sorted((index(r), exact_fraction(v)) for r, v in self.rank_weights)),
-        )
+        classes = ((c, exact_fraction(v)) for c, v in self.class_overrides)
+        ranks = ((index(r), exact_fraction(v)) for r, v in self.rank_weights)
+        object.__setattr__(self, "class_overrides", _sorted_once(classes, "class"))
+        object.__setattr__(self, "rank_weights", _sorted_once(ranks, "rank"))
         object.__setattr__(self, "default", exact_fraction(self.default))
 
     @classmethod
@@ -270,8 +274,6 @@ def abelianize_bgl(m):
     """Class of the point stack with GL(m) automorphisms, written in the
     torus basis: sum over block tori Q of E(GL(m), Q) * [G_m^blocks],
     collected by block-size type (bgl_type_terms)."""
-    if m < 1:
-        raise ValueError("m must be positive")
     return LambdaBarElem(
         (AbelianGroupClass(rank), coeff) for rank, coeff in bgl_type_terms(m)
     )

@@ -18,7 +18,6 @@ from motivic.checks import (
 )
 from motivic.cli import main as cli_main
 from motivic.coefficients import (
-    ECoeffTable,
     consistency_residual,
     e_coeff_gl,
     e_recursion_residual,
@@ -83,10 +82,9 @@ def test_criterion_02_scalar_e_f_values(acceptance):
 
 def test_criterion_03_recursion_residuals(acceptance):
     with criterion(acceptance, 3, 30, "both recursion residuals vanish for m = 1..6"):
-        table = ECoeffTable.build(7)
         for m in range(1, 7):
-            assert e_recursion_residual(m, table) == ZERO, m
-            assert f_recursion_residual(m, table) == 0, m
+            assert e_recursion_residual(m) == ZERO, m
+            assert f_recursion_residual(m) == 0, m
 
 
 def test_criterion_04_consistency_identity(acceptance):

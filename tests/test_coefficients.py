@@ -12,11 +12,13 @@ from motivic import coefficients
 from motivic.coefficients import (
     ECoeffTable,
     _exp_coeffs,
+    bgl_type_terms,
     consistency_residual,
     e_coeff_gl,
     e_recursion_residual,
     f_recursion_residual,
     m_big_coeff,
+    scalar_e,
 )
 from motivic.errors import InternalInvariant, NotInPoset, TooLarge
 from motivic.groups import (
@@ -187,16 +189,9 @@ def test_exp_coeffs_match_composition_sum():
 
 
 def test_recursion_residuals_small():
-    table = ECoeffTable.build(4)
     for m in range(1, 4):
-        assert e_recursion_residual(m, table) == ZERO
-        assert f_recursion_residual(m, table) == 0
-
-
-def test_recursion_requires_populated_table():
-    table = ECoeffTable.build(2)
-    with pytest.raises(ValueError):
-        e_recursion_residual(2, table)
+        assert e_recursion_residual(m) == ZERO
+        assert f_recursion_residual(m) == 0
 
 
 def test_f_recursion_pins_down_values():
@@ -204,8 +199,62 @@ def test_f_recursion_pins_down_values():
     table = ECoeffTable.build(3)
     assert table.f(2) == Fraction(-3, 4)
     assert table.f(3) == Fraction(10, 9)
-    assert f_recursion_residual(1, table) == 0
-    assert f_recursion_residual(2, table) == 0
+    assert f_recursion_residual(1) == 0
+    assert f_recursion_residual(2) == 0
+
+
+def _residuals_over(es, m):
+    """The E and F recursion residuals at level m over the rows
+    es = E(1..m + 1), restated here so they reach past E_GUARD."""
+    w = {k: (L**k - 1) / (L - 1) * e for k, e in enumerate(es, 1)}
+    wf = {k: k * pi_eval(e) for k, e in enumerate(es, 1)}
+    e_right = _exp_coeffs({k: -v for k, v in w.items()}, m)[m] / L**m
+    f_right = _exp_coeffs({k: -v for k, v in wf.items()}, m)[m]
+    return _exp_coeffs(w, m + 1)[m + 1] - e_right, _exp_coeffs(wf, m + 1)[m + 1] - f_right
+
+
+def test_recursion_holds_past_the_guard():
+    # the library's residuals stop at level E_GUARD - 1; the oracle's E(1..9)
+    # carry the identity to level 8 (level 8 alone took 0.03 s cold)
+    t0 = time.perf_counter()
+    es = scalar_e_through(9)
+    for m in range(1, 9):
+        assert _residuals_over(es[: m + 1], m) == (ZERO, 0), m
+    assert time.perf_counter() - t0 < 2.5
+    # a wrong top row shows in both
+    wrong = _residuals_over(es[:3] + (ONE,), 3)
+    assert wrong[0] != ZERO and wrong[1] != 0
+
+
+# each E entry point with the first size it refuses: a recursion residual
+# at level m reads E(m + 1)
+E_ENTRY_POINTS = {
+    "scalar_e": (scalar_e, E_GUARD + 1),
+    "ECoeffTable.build": (ECoeffTable.build, E_GUARD + 1),
+    "bgl_type_terms": (lambda m: list(bgl_type_terms(m)), E_GUARD + 1),
+    "consistency_residual": (consistency_residual, E_GUARD + 1),
+    "abelianize_bgl": (abelianize_bgl, E_GUARD + 1),
+    "e_recursion_residual": (e_recursion_residual, E_GUARD),
+    "f_recursion_residual": (f_recursion_residual, E_GUARD),
+}
+
+
+@pytest.mark.parametrize("name", sorted(E_ENTRY_POINTS))
+def test_e_entry_point_refuses_sizes_below_one(name):
+    fn, _ = E_ENTRY_POINTS[name]
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="^m must be positive$"):
+            fn(m)
+
+
+@pytest.mark.parametrize("name", sorted(E_ENTRY_POINTS))
+def test_e_entry_point_refuses_past_the_guard_before_any_e(name):
+    fn, first_refused = E_ENTRY_POINTS[name]
+    e_coeff_gl.cache_clear()
+    with pytest.raises(TooLarge):
+        fn(first_refused)
+    assert e_coeff_gl.cache_info().currsize == 0
+    fn(first_refused - 1)
 
 
 def test_consistency_residual_small():

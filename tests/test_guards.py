@@ -13,7 +13,6 @@ from functools import reduce
 
 import pytest
 
-from e_series import scalar_e_through
 from motivic import guards
 from motivic.coefficients import (
     ECoeffTable,
@@ -47,9 +46,8 @@ from motivic.guards import (
     NEST_MAX,
     PARTITION_GUARD,
     Q_LATTICE_GUARD,
-    RECURSION_GUARD,
 )
-from motivic.ratfield import ELL, ONE, ZERO, pi_eval
+from motivic.ratfield import ELL, ONE, ZERO
 from motivic.stackcalc import (
     StratifiedModel,
     WeightFn,
@@ -146,28 +144,22 @@ def _():
 @edge("E_GUARD")
 def _():
     # the one guard of every E-based computation, checked in scalar_e before
-    # the one-block partition is built; e_coeff_gl keeps its own check
+    # the one-block partition is built; e_coeff_gl keeps its own check.  The
+    # recursion residuals at level m read E(m + 1), so they stop one lower.
     table = accepted(1.0, ECoeffTable.build, E_GUARD)
     assert table.max_m == E_GUARD
     assert accepted(1.0, consistency_residual, E_GUARD) == ZERO
     x = accepted(1.0, abelianize_bgl, E_GUARD)
     assert accepted(1.0, gen_euler, x)
+    assert accepted(1.0, e_recursion_residual, E_GUARD - 1) == ZERO
+    assert accepted(1.0, f_recursion_residual, E_GUARD - 1) == 0
     refused(TooLarge, ECoeffTable.build, E_GUARD + 1)
     refused(TooLarge, consistency_residual, E_GUARD + 1)
     refused(TooLarge, abelianize_bgl, E_GUARD + 1)
+    refused(TooLarge, e_recursion_residual, E_GUARD)
+    refused(TooLarge, f_recursion_residual, E_GUARD)
     refused(TooLarge, e_coeff_gl, SetPartition.one_block(E_GUARD + 1))
     refused(TooLarge, scalar_e, 4_000_000)
-
-
-@edge("RECURSION_GUARD")
-def _():
-    es = scalar_e_through(RECURSION_GUARD + 1)
-    table = ECoeffTable(len(es), es, tuple(pi_eval(e) for e in es))
-    assert accepted(2.5, e_recursion_residual, RECURSION_GUARD, table) == ZERO
-    assert accepted(1.0, f_recursion_residual, RECURSION_GUARD, table) == 0
-    wider = ECoeffTable(len(es) + 1, table.scalar_e + (ZERO,), table.scalar_f + (0,))
-    refused(TooLarge, e_recursion_residual, RECURSION_GUARD + 1, wider)
-    refused(TooLarge, f_recursion_residual, RECURSION_GUARD + 1, wider)
 
 
 @edge("MODEL_GL_GUARD")

@@ -1,7 +1,8 @@
 """Every imported name is used in the module that imports it, the package
-namespace is exactly the public lists of its modules, the library
-imports nothing beyond the standard library and its declared
-dependencies, and numpy loads only with the posets."""
+namespace is exactly the public lists of its modules, every size guard is
+imported by a module that checks it, the library imports nothing beyond
+the standard library and its declared dependencies, and numpy loads only
+with the posets."""
 
 import ast
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 from types import ModuleType
 
 import motivic
-from motivic import coefficients, errors, groups, ratfield, stackcalc, subgroups
+from motivic import coefficients, errors, groups, guards, ratfield, stackcalc, subgroups
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "motivic").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
@@ -180,6 +181,51 @@ def test_only_guards_defines_size_guards():
         for line in defines_guard(ast.parse(path.read_text(), str(path))):
             found.append("%s:%d" % (path.relative_to(ROOT), line))
     assert not found, "size guard defined outside guards.py:\n" + "\n".join(found)
+
+
+def orphan_guards(guard_tree, trees):
+    """Names guard_tree binds at module level by assignment that no tree in
+    trees imports from a module named guards, in definition order."""
+    defined = [
+        t.id
+        for node in guard_tree.body
+        if isinstance(node, ast.Assign)
+        for t in node.targets
+        if isinstance(t, ast.Name)
+    ]
+    imported = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "guards":
+                imported.update(alias.name for alias in node.names)
+    return [name for name in defined if name not in imported]
+
+
+def test_orphan_guard_scan_sees_names_no_module_imports():
+    guard_src = "A_GUARD = 1\nB_MAX = 2\nC_GUARD = 3\nD_MAX = 4\n"
+    users = (
+        "from .guards import A_GUARD\n",
+        "def f():\n    from motivic.guards import B_MAX as b\n",
+        "from .other import C_GUARD\nfrom . import guards\nD_MAX = guards.D_MAX\n",
+    )
+    found = orphan_guards(ast.parse(guard_src), [ast.parse(src) for src in users])
+    assert found == ["C_GUARD", "D_MAX"]
+
+
+def test_every_guard_has_a_check_site():
+    # a guard whose last check site goes fails here instead of lingering in
+    # the README and the edge tests
+    package = ROOT / "src" / "motivic"
+    others = [
+        ast.parse(path.read_text(), str(path))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "guards.py"
+    ]
+    guard_tree = ast.parse((package / "guards.py").read_text())
+    # the scan reads every constant the guard table holds
+    assert sorted(orphan_guards(guard_tree, [])) == sorted(n for n in vars(guards) if not n.startswith("_"))
+    orphans = orphan_guards(guard_tree, others)
+    assert not orphans, "guards no other module imports: " + ", ".join(orphans)
 
 
 def declared_dependencies():

@@ -201,8 +201,16 @@ def test_power_matches_repeated_product():
             product = product * f
 
 
-# ---------------------------------------------------------------------------
-# the integer kernel against the Fraction Euclid it replaced
+def test_power_takes_only_integral_exponents():
+    # a float or Fraction exponent once stored a float content in a
+    # constant, or failed deep in the kernel on a non-constant base
+    for base in (RatFunc(2), RatFunc(4), ELL, (L + 1) / (L - 1), -ONE / L):
+        for k in (0.5, 2.0, -1.0, Fraction(1, 2), Fraction(2)):
+            with pytest.raises(TypeError):
+                base**k
+    assert L**True == L
+    assert L**False == ONE
+    assert RatFunc(4) ** 2 == RatFunc(16)
 
 
 def _trimmed(cs):

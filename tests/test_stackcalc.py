@@ -125,6 +125,23 @@ def test_weight_mul_examples():
     assert pi_mu_lbar(same, x) == pi_mu_lbar(WeightFn.virtual_rank(2), x)
 
 
+def test_weight_refuses_a_class_or_rank_given_twice():
+    # Z/2 x Z/3 and Z/6 are one class; a duplicate once kept the smaller
+    # value after sorting, in either order
+    z6, z2z3 = AbelianGroupClass(0, (6,)), AbelianGroupClass(0, (2, 3))
+    for pairs in (((z2z3, 5), (z6, 1)), ((z6, 1), (z2z3, 5)), ((GM, 1), (GM, 1))):
+        with pytest.raises(ValueError, match="given twice"):
+            WeightFn(class_overrides=pairs)
+    for pairs in (((1, 3), (1, 2)), ((1, 2), (True, 2))):
+        with pytest.raises(ValueError, match="rank 1 given twice"):
+            WeightFn(rank_weights=pairs)
+    with pytest.raises(ValueError, match="class Z/6 given twice"):
+        WeightFn.table(((z6, 1), (z2z3, 5)))
+    w = WeightFn(class_overrides=((z2z3, 5), (GM, 1)), rank_weights=((1, 3), (0, 2)))
+    assert (w.evaluate(z6), w.evaluate(GM), w.evaluate(GM2)) == (5, 1, 0)
+    assert w.evaluate(AbelianGroupClass(0)) == 2
+
+
 def classes():
     return st.builds(
         AbelianGroupClass,
